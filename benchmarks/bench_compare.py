@@ -1,12 +1,12 @@
 """Compare a fresh benchmark snapshot against prior baselines.
 
-The bench suites write ``BENCH_PR9.json`` (see ``conftest.py``); this
+The bench suites write ``BENCH_PR10.json`` (see ``conftest.py``); this
 tool diffs it against one or more checked-in baselines and fails on
 regressions, so CI can gate perf the way tests gate correctness::
 
     python benchmarks/bench_compare.py \
-        --current benchmarks/BENCH_PR9.json \
-        --against benchmarks/BENCH_PR8.json \
+        --current benchmarks/BENCH_PR10.json \
+        --against benchmarks/BENCH_PR9.json \
         --max-regress 0.10
 
 With several ``--against`` files the comparison runs against the *best*
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -159,11 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Diff a benchmark snapshot against prior baselines"
     )
-    default_current = os.path.join(os.path.dirname(__file__), "BENCH_PR9.json")
     parser.add_argument(
         "--current",
-        default=default_current,
-        help="snapshot to judge (default: benchmarks/BENCH_PR9.json)",
+        required=True,
+        help="snapshot to judge (the file the bench run just wrote)",
     )
     parser.add_argument(
         "--against",

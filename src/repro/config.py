@@ -32,9 +32,8 @@ degrading it, and degraded results are never cached (see
 
 New :class:`~repro.core.SynthesisOptions` fields need no wiring here:
 ``as_dict`` serializes the options via :func:`dataclasses.asdict`, so a
-field like ``cse_mode`` (the DAG-vs-rectangle scorer switch, see
-``docs/DAG.md``) automatically round-trips to pool workers *and* lands
-in the engine's result-cache key.
+field like ``objective`` automatically round-trips to pool workers *and*
+lands in the engine's result-cache key.
 """
 
 from __future__ import annotations

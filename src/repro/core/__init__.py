@@ -51,7 +51,6 @@ from .synth import (
     synthesis_cache_sizes,
     synthesize,
 )
-from .trace import FlowEvent, FlowTrace
 
 __all__ = [
     "BlockRegistry",
@@ -61,8 +60,6 @@ __all__ = [
     "ChosenRepresentation",
     "Deadline",
     "Degradation",
-    "FlowEvent",
-    "FlowTrace",
     "PhaseTiming",
     "Provenance",
     "Representation",

@@ -1,10 +1,10 @@
 """Per-phase timing and counter instrumentation of the synthesis flow.
 
-:class:`Timings` is the quantitative sibling of
-:class:`~repro.core.trace.FlowTrace`: where the trace records *what* each
-phase of Algorithm 7 did, the timings record *how long it took* and a few
-integer counters (representations generated, blocks registered,
-combinations scored, weighted operator deltas).  The flow never reads the
+:class:`Timings` records, for each phase of Algorithm 7, *how long it
+took* and a few integer counters (representations generated, blocks
+registered, combinations scored, weighted operator deltas); *why* the
+winner was chosen lives in the result's
+:class:`~repro.core.provenance.Provenance`.  The flow never reads the
 timings back, so instrumentation cannot change results.
 
 The layer is deliberately lightweight — one ``perf_counter`` pair per

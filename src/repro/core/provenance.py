@@ -12,8 +12,8 @@ plain data the ``repro explain`` subcommand renders for humans
 
 The counts here are the *same integers* the run publishes to the
 metrics registry (``repro_search_combos_scored`` /
-``repro_search_memo_hits`` / ``repro_search_pruned`` and, in dag mode,
-the ``repro_search_dag_*`` family); tests hold the two views to exact
+``repro_search_memo_hits`` / ``repro_search_pruned`` and the
+``repro_search_dag_*`` family); tests hold the two views to exact
 agreement.
 """
 
@@ -53,8 +53,8 @@ class Provenance:
     memo_hits: int = 0
     pruned: int = 0
     direct_fallback: bool = False  # the flat SOP beat every combination
-    # DAG-mode sharing statistics (all zero under cse_mode="rectangle").
-    cse_mode: str = "rectangle"  # "dag" | "rectangle"
+    # Sharing statistics of the search's expression DAG (all zero when
+    # the run degraded before the search).
     dag_nodes: int = 0           # interned nodes in the run's DAG
     dag_intern_hits: int = 0     # intern requests answered by existing nodes
     dag_shared_nodes: int = 0    # product nodes shared across >= 2 sums
@@ -80,7 +80,6 @@ class Provenance:
             "memo_hits": self.memo_hits,
             "pruned": self.pruned,
             "direct_fallback": self.direct_fallback,
-            "cse_mode": self.cse_mode,
             "dag_nodes": self.dag_nodes,
             "dag_intern_hits": self.dag_intern_hits,
             "dag_shared_nodes": self.dag_shared_nodes,
@@ -103,7 +102,6 @@ class Provenance:
             memo_hits=int(data.get("memo_hits", 0)),
             pruned=int(data.get("pruned", 0)),
             direct_fallback=bool(data.get("direct_fallback", False)),
-            cse_mode=str(data.get("cse_mode", "rectangle")),
             dag_nodes=int(data.get("dag_nodes", 0)),
             dag_intern_hits=int(data.get("dag_intern_hits", 0)),
             dag_shared_nodes=int(data.get("dag_shared_nodes", 0)),
@@ -152,7 +150,7 @@ def explain_text(result, name: str = "") -> str:
             f"-> {result.op_count} final"
         ),
     ]
-    if prov.cse_mode == "dag":
+    if prov.search_mode != "degraded":
         lines.append(
             f"dag sharing: {prov.dag_nodes} node(s) interned, "
             f"{prov.dag_intern_hits} intern hit(s), "

@@ -15,9 +15,13 @@ The phases, mirroring the paper:
    block; quotient chains become candidate representations (Fig. 14.1b).
 6. **Combination search** — pick one representation per polynomial
    (exhaustively when the product of list sizes is small, by coordinate
-   descent otherwise), scoring each combination by running the final CSE
-   over the chosen polynomials *plus all live block definitions* and
-   counting weighted MULT/ADD operators (Fig. 14.1c).
+   descent otherwise), scoring each combination on a shared expression
+   DAG of the chosen polynomials *plus all live block definitions*; a
+   shortlist of finalists then runs the final CSE and is priced under
+   the objective (Fig. 14.1c).
+
+Each phase is one function below, and :func:`_synthesize_flow` calls
+them in this order.
 
 The winner is returned as a validated
 :class:`~repro.expr.decomposition.Decomposition`.
@@ -28,6 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from repro.cse import eliminate_common_subexpressions
@@ -50,7 +55,7 @@ from .budget import (
     deadline_for,
     use_deadline,
 )
-from .cube_extract import cube_extraction
+from .cube_extract import cube_extraction, expose_homogeneous_factors
 from .metrics import Timings
 from .provenance import ChosenRepresentation, Provenance
 from .representations import (
@@ -59,7 +64,6 @@ from .representations import (
     dedupe_representations,
     initial_representations,
 )
-from .trace import FlowTrace
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,6 @@ class SynthesisOptions:
     cmul_weight: int = 2
     add_weight: int = 1
     objective: str = "area"  # "area" (hardware estimate) or "ops" (weighted count)
-    # How the combination search prices sharing: "dag" scores every
-    # combination on the shared expression DAG (each interned product
-    # node paid once) and lowers only a shortlist of finalists through
-    # the exact rectangle extractor; "rectangle" is the pre-DAG
-    # behaviour — a full greedy CSE run per scored combination.
-    cse_mode: str = "dag"
 
 
 @dataclass
@@ -101,7 +99,6 @@ class SynthesisResult:
     chosen: tuple[int, ...]
     registry: BlockRegistry
     combinations_scored: int = 0
-    trace: "FlowTrace | None" = None
     timings: "Timings | None" = None
     degradations: list[Degradation] = field(default_factory=list)
     provenance: "Provenance | None" = None
@@ -425,7 +422,6 @@ def synthesize(
     system: list[Polynomial],
     signature: BitVectorSignature | None = None,
     options: SynthesisOptions | None = None,
-    trace: FlowTrace | None = None,
     timings: Timings | None = None,
     budget: Budget | None = None,
     dag: ExpressionDAG | None = None,
@@ -433,11 +429,11 @@ def synthesize(
     """Run the full integrated flow on a polynomial system.
 
     ``signature`` enables the canonical-form representations (without it
-    only the integer-exact transformations run).  Pass a
-    :class:`~repro.core.trace.FlowTrace` to record what every phase did.
-    Per-phase wall times and counters are always collected into a
+    only the integer-exact transformations run).  Per-phase wall times
+    and counters are always collected into a
     :class:`~repro.core.metrics.Timings` (pass your own to aggregate
-    across calls) and exposed as ``result.timings``.
+    across calls) and exposed as ``result.timings``; why the winner was
+    chosen is recorded in ``result.provenance``.
 
     ``budget`` bounds the run (see :mod:`repro.core.budget` and
     ``docs/ROBUSTNESS.md``): when a phase exceeds its share, the flow
@@ -454,12 +450,9 @@ def synthesize(
     the global metrics registry.  The flow never reads any of this back:
     traced and untraced runs produce identical results.
 
-    ``options.cse_mode`` selects how the combination search prices
-    sharing: ``"dag"`` (the default) scores every combination on a
-    shared expression DAG and lowers only a shortlist of finalists
-    through the exact rectangle extractor; ``"rectangle"`` runs the full
-    greedy extractor on every scored combination (the pre-DAG
-    behaviour).  ``dag`` optionally supplies the
+    The combination search scores every combination on a shared
+    expression DAG and lowers only a shortlist of finalists through the
+    exact rectangle extractor.  ``dag`` optionally supplies the
     :class:`~repro.dag.ExpressionDAG` to score on — by default each run
     uses a fresh instance so provenance statistics never depend on what
     else the process interned.
@@ -469,11 +462,6 @@ def synthesize(
     functionally equal over the signature.
     """
     options = options or SynthesisOptions()
-    if options.cse_mode not in ("dag", "rectangle"):
-        raise ValueError(
-            f"unknown cse_mode {options.cse_mode!r}; expected 'dag' or 'rectangle'"
-        )
-    trace = trace if trace is not None else FlowTrace()
     timings = timings if timings is not None else Timings()
     tracer = current_tracer()
     deadline = deadline_for(budget)
@@ -487,13 +475,13 @@ def synthesize(
                     Degradation("job", "expired-at-start", "deadline already expired")
                 )
                 result = _degraded_result(
-                    system, signature, options, trace, timings, tracer,
+                    system, signature, options, timings, tracer,
                     degradations, ladder=("horner",),
                 )
             else:
                 try:
                     result = _synthesize_flow(
-                        system, signature, options, trace, timings, tracer,
+                        system, signature, options, timings, tracer,
                         deadline, degradations, dag,
                     )
                 except BudgetExceeded as exc:
@@ -502,7 +490,7 @@ def synthesize(
                         "degradation", phase="job", action="fallback"
                     )
                     result = _degraded_result(
-                        system, signature, options, trace, timings, tracer,
+                        system, signature, options, timings, tracer,
                         degradations,
                     )
         root.count(
@@ -559,7 +547,6 @@ def _degraded_result(
     system: list[Polynomial],
     signature: BitVectorSignature | None,
     options: SynthesisOptions,
-    trace: FlowTrace,
     timings: Timings,
     tracer,
     degradations: list[Degradation],
@@ -605,7 +592,6 @@ def _degraded_result(
                     "budget exceeded; degraded to a baseline decomposition",
                 )
             )
-            trace.record("degraded-fallback", f"fell back to {method}")
             clock.count(ladder_steps=ladder.index(method) + 1)
             break
     if decomposition is None:
@@ -619,7 +605,6 @@ def _degraded_result(
         search_mode="degraded",
         search_space=1,
         search_bound=0,
-        cse_mode=options.cse_mode,
         chosen=[
             ChosenRepresentation(
                 polynomial=str(poly), tag="original", index=0, candidates=1
@@ -639,7 +624,6 @@ def _degraded_result(
         chosen=tuple(0 for _ in system),
         registry=BlockRegistry(system[0].vars),
         combinations_scored=0,
-        trace=trace,
         timings=timings,
         degradations=degradations,
         provenance=provenance,
@@ -656,29 +640,75 @@ def _synthesize_flow(
     system: list[Polynomial],
     signature: BitVectorSignature | None,
     options: SynthesisOptions,
-    trace: FlowTrace,
     timings: Timings,
     tracer,
-    deadline=NULL_DEADLINE,
-    degradations: list[Degradation] | None = None,
-    dag: ExpressionDAG | None = None,
+    deadline,
+    degradations: list[Degradation],
+    dag: ExpressionDAG | None,
 ) -> SynthesisResult:
     """The phases of Algorithm 7 (see :func:`synthesize` for the contract)."""
-    if degradations is None:
-        degradations = []
     system = Polynomial.unify_all(list(system))
     if not system:
         raise ValueError("cannot synthesize an empty system")
     registry = BlockRegistry(system[0].vars)
 
-    # Phase 1: initial representation lists (Fig. 14.1a) — original,
-    # square-free/factored, and canonical falling-factorial rewrites.
-    # Canonicalization is the flow's combinatorial worst case (the
-    # falling-factorial rewrite of Section 14.3.1 is exponential in wide
-    # signatures); over budget it degrades per-polynomial to the identity
-    # representation — the original polynomial — and the flow carries on.
+    def phase(name: str, skippable: bool = False):
+        return _phase(timings, tracer, name, deadline, degradations, skippable)
+
+    lists = _initial_phase(phase, system, signature, registry, options, degradations)
+    if options.enable_cse_exposure:
+        _cse_exposure_phase(phase, system, lists, registry)
+    if options.enable_cce:
+        _cce_phase(phase, lists, registry)
+    _cube_extract_phase(phase, system, lists, registry, options)
+    _refine_phase(phase, registry, options)
+    if options.enable_division:
+        _division_phase(phase, system, lists, registry, options)
+    lists = _prune_phase(phase, lists, registry, options)
+    best_indices, decomposition, provenance = _search_phase(
+        phase, system, signature, lists, registry, options, deadline,
+        degradations, dag if dag is not None else ExpressionDAG(),
+    )
+    with phase("validate"):
+        # Validation is a correctness gate, never skipped: it runs with
+        # the per-phase clock restarted, so a job-budget overrun earlier
+        # in the flow does not leave the winning decomposition unchecked.
+        chosen = [lists[i][j] for i, j in enumerate(best_indices)]
+        _validate(decomposition, system, chosen, signature)
+
+    return SynthesisResult(
+        decomposition=decomposition,
+        op_count=decomposition.op_count(),
+        initial_op_count=direct_cost(system, options),
+        representation_lists=lists,
+        chosen=best_indices,
+        registry=registry,
+        combinations_scored=provenance.combinations_scored,
+        timings=timings,
+        degradations=degradations,
+        provenance=provenance,
+    )
+
+
+def _initial_phase(
+    phase,
+    system: list[Polynomial],
+    signature: BitVectorSignature | None,
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+    degradations: list[Degradation],
+) -> list[list[Representation]]:
+    """Phase 1: initial representation lists (Fig. 14.1a).
+
+    Original, square-free/factored, and canonical falling-factorial
+    rewrites.  Canonicalization is the flow's combinatorial worst case
+    (the falling-factorial rewrite of Section 14.3.1 is exponential in
+    wide signatures); over budget it degrades per-polynomial to the
+    identity representation — the original polynomial — and the flow
+    carries on.
+    """
     lists: list[list[Representation]] = []
-    with _phase(timings, tracer, "initial", deadline, degradations) as clock:
+    with phase("initial") as clock:
         degraded_polys = 0
         for poly in system:
             try:
@@ -697,121 +727,138 @@ def _synthesize_flow(
                         Degradation("initial", "identity", str(exc))
                     )
             lists.append(reps)
-            trace.record(
-                "initial", f"{len(reps)} representation(s)",
-                tags=[r.tag for r in reps],
-            )
         clock.count(
             representations=sum(len(reps) for reps in lists),
             blocks=len(registry.defs),
             degraded_polys=degraded_polys,
         )
+    return lists
 
-    # Phase 1b: CSE exposure — shared multi-term sub-expressions of the
-    # *system as written* become registry blocks, so the later factoring /
-    # division phases can dig into them (e.g. a quadratic form shared by
-    # every shifted filter copy, which then factors into linear blocks).
-    if options.enable_cse_exposure:
-        with _phase(
-            timings, tracer, "cse-exposure", deadline, degradations, skippable=True
-        ) as clock:
-            before_blocks = len(registry.defs)
-            exposure = eliminate_common_subexpressions(system, prefix="_pre")
-            mapping: dict[str, Polynomial] = {}
-            for pre_name, pre_def in exposure.blocks.items():
-                substituted = pre_def.subs(
-                    {old: repl for old, repl in mapping.items()
-                     if old in pre_def.used_vars()}
-                )
-                try:
-                    reg_name, sign = registry.register(substituted)
-                except ValueError:
-                    continue  # trivial block (constant after substitution)
-                mapping[pre_name] = Polynomial.variable(reg_name).scale(sign)
-            trace.record(
-                "cse-exposure", f"{len(mapping)} shared sub-expression block(s)"
+
+def _cse_exposure_phase(
+    phase,
+    system: list[Polynomial],
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+) -> None:
+    """Phase 1b: CSE exposure.
+
+    Shared multi-term sub-expressions of the *system as written* become
+    registry blocks, so the later factoring / division phases can dig
+    into them (e.g. a quadratic form shared by every shifted filter
+    copy, which then factors into linear blocks).
+    """
+    with phase("cse-exposure", skippable=True) as clock:
+        before_blocks = len(registry.defs)
+        exposure = eliminate_common_subexpressions(system, prefix="_pre")
+        mapping: dict[str, Polynomial] = {}
+        for pre_name, pre_def in exposure.blocks.items():
+            substituted = pre_def.subs(
+                {old: repl for old, repl in mapping.items()
+                 if old in pre_def.used_vars()}
             )
-            if mapping:
-                for poly, reps in zip(exposure.polys, lists):
-                    rewritten = poly.subs(
-                        {old: repl for old, repl in mapping.items()
-                         if old in poly.used_vars()}
-                    )
-                    if rewritten.trim() != reps[0].poly.trim():
-                        reps.append(Representation(rewritten, "cse"))
-            clock.count(blocks=len(registry.defs) - before_blocks)
+            try:
+                reg_name, sign = registry.register(substituted)
+            except ValueError:
+                continue  # trivial block (constant after substitution)
+            mapping[pre_name] = Polynomial.variable(reg_name).scale(sign)
+        if mapping:
+            for poly, reps in zip(exposure.polys, lists):
+                rewritten = poly.subs(
+                    {old: repl for old, repl in mapping.items()
+                     if old in poly.used_vars()}
+                )
+                if rewritten.trim() != reps[0].poly.trim():
+                    reps.append(Representation(rewritten, "cse"))
+        clock.count(blocks=len(registry.defs) - before_blocks)
 
-    # Phase 2: CCE on every representation.
-    if options.enable_cce:
-        with _phase(
-            timings, tracer, "cce", deadline, degradations, skippable=True
-        ) as clock:
-            cce_hits = 0
-            for reps in lists:
-                for rep in list(reps):
-                    extracted = cce_representation(rep, registry)
-                    if extracted is not None:
-                        reps.append(extracted)
-                        cce_hits += 1
-            trace.record("cce", f"{cce_hits} representation(s) extracted")
-            clock.count(representations=cce_hits)
 
-    # Phase 3: Cube_Ex exposes linear kernels as divisor blocks, and the
-    # top homogeneous forms contribute their linear factors (shift-
-    # invariant structure CCE's filter cannot split).
-    with _phase(
-        timings, tracer, "cube-extract", deadline, degradations, skippable=True
-    ) as clock:
+def _cce_phase(
+    phase, lists: list[list[Representation]], registry: BlockRegistry
+) -> None:
+    """Phase 2: CCE (Algorithm 6) on every representation."""
+    with phase("cce", skippable=True) as clock:
+        cce_hits = 0
+        for reps in lists:
+            for rep in list(reps):
+                extracted = cce_representation(rep, registry)
+                if extracted is not None:
+                    reps.append(extracted)
+                    cce_hits += 1
+        clock.count(representations=cce_hits)
+
+
+def _cube_extract_phase(
+    phase,
+    system: list[Polynomial],
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+) -> None:
+    """Phase 3: Cube_Ex exposes linear kernels as divisor blocks.
+
+    The top homogeneous forms also contribute their linear factors
+    (shift-invariant structure CCE's filter cannot split).
+    """
+    with phase("cube-extract", skippable=True) as clock:
         before_blocks = len(registry.defs)
         if options.enable_cube_extraction:
             all_rep_polys = [rep.poly for reps in lists for rep in reps]
             cube_extraction(all_rep_polys, registry)
         if options.enable_factoring:
-            from .cube_extract import expose_homogeneous_factors
-
-            exposed = expose_homogeneous_factors(list(system), registry)
-            trace.record(
-                "expose", f"{len(registry.defs)} block(s) in the registry",
-                homogeneous=[str(registry.ground[n]) for n in exposed],
-            )
+            expose_homogeneous_factors(list(system), registry)
         clock.count(blocks=len(registry.defs) - before_blocks)
 
-    # Phase 4: refine block definitions (factor + divide through blocks).
-    with _phase(
-        timings, tracer, "refine", deadline, degradations, skippable=True
-    ) as clock:
+
+def _refine_phase(
+    phase, registry: BlockRegistry, options: SynthesisOptions
+) -> None:
+    """Phase 4: refine block definitions (factor + divide through blocks)."""
+    with phase("refine", skippable=True) as clock:
         _factor_block_definitions(registry, options)
-        refined = refine_block_definitions(registry)
-        trace.record("refine", f"{refined} definition(s) rewritten through blocks")
-        clock.count(refined=refined)
+        clock.count(refined=refine_block_definitions(registry))
 
-    # Phase 5: algebraic division candidates (Fig. 14.1b).
-    if options.enable_division:
-        with _phase(
-            timings, tracer, "division", deadline, degradations, skippable=True
-        ) as clock:
-            division_hits = 0
-            for poly, reps in zip(system, lists):
-                for candidate in division_candidates(
-                    poly, registry, options.max_division_candidates
-                ):
-                    reps.append(Representation(candidate, "division"))
-                    division_hits += 1
-                cce_reps = [r for r in reps if r.tag.startswith("cce")]
-                for rep in cce_reps:
-                    for candidate in division_candidates(
-                        rep.poly, registry, 2
-                    ):
-                        reps.append(
-                            Representation(
-                                candidate, f"division({rep.tag})", rep.modular
-                            )
+
+def _division_phase(
+    phase,
+    system: list[Polynomial],
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+) -> None:
+    """Phase 5: algebraic division candidates (Fig. 14.1b)."""
+    with phase("division", skippable=True) as clock:
+        division_hits = 0
+        for poly, reps in zip(system, lists):
+            for candidate in division_candidates(
+                poly, registry, options.max_division_candidates
+            ):
+                reps.append(Representation(candidate, "division"))
+                division_hits += 1
+            cce_reps = [r for r in reps if r.tag.startswith("cce")]
+            for rep in cce_reps:
+                for candidate in division_candidates(rep.poly, registry, 2):
+                    reps.append(
+                        Representation(
+                            candidate, f"division({rep.tag})", rep.modular
                         )
-                        division_hits += 1
-            clock.count(representations=division_hits)
+                    )
+                    division_hits += 1
+        clock.count(representations=division_hits)
 
-    # Prune each list: dedupe, keep the cheapest few (always keep original).
-    with _phase(timings, tracer, "prune", deadline) as clock:
+
+def _prune_phase(
+    phase,
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+) -> list[list[Representation]]:
+    """Dedupe each list and keep the cheapest few (always keep original).
+
+    After the dedupe no two members of one list have equal polynomials,
+    so distinct index tuples always select distinct rows in the search.
+    """
+    with phase("prune") as clock:
         before_reps = sum(len(reps) for reps in lists)
         pruned: list[list[Representation]] = []
         for reps in lists:
@@ -823,155 +870,99 @@ def _synthesize_flow(
             if reps[0] not in keep:
                 keep.append(reps[0])
             pruned.append(keep)
-        lists = pruned
-        after_reps = sum(len(reps) for reps in lists)
+        after_reps = sum(len(reps) for reps in pruned)
         clock.count(representations=after_reps, dropped=before_reps - after_reps)
+    return pruned
 
-    # Phase 6: combination search (Fig. 14.1c).  In dag mode the search
-    # scores combinations on the shared expression DAG (cheap set
-    # unions over interned nodes) and only a shortlist of finalists is
-    # assembled through the exact rectangle extractor afterwards; in
-    # rectangle mode every scored combination pays for a full greedy
-    # CSE run, exactly the pre-DAG behaviour.
-    dag_mode = options.cse_mode == "dag"
-    run_dag = (dag if dag is not None else ExpressionDAG()) if dag_mode else None
-    cache: dict[tuple[int, ...], tuple[float, Decomposition | None]] = {}
-    content_cache: dict[tuple, tuple[float, Decomposition | None]] = {}
-    exact_cache: dict[tuple, tuple[float, Decomposition]] = {}
-    scored_counter = 0
+
+def _search_phase(
+    phase,
+    system: list[Polynomial],
+    signature: BitVectorSignature | None,
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+    deadline,
+    degradations: list[Degradation],
+    dag: ExpressionDAG,
+) -> tuple[tuple[int, ...], Decomposition, Provenance]:
+    """Phase 6: combination search (Fig. 14.1c).
+
+    Every combination is scored on the shared expression DAG (cheap set
+    unions over interned nodes); only a shortlist of finalists is then
+    assembled through the exact rectangle extractor and priced under the
+    objective.  Returns the winner's indices, its decomposition and the
+    run's provenance record.
+    """
+    cache: dict[tuple[int, ...], float] = {}
+    scored = 0
     memo_hits = 0
-    pruned_count = 0
+    pruned = 0
     search_bound = 0
     # Hot-loop discipline: hoist the enabled flag so the disabled stream
     # costs one truth test per lookup and allocates zero event objects.
     events = current_events()
     emitting = events.enabled
 
-    def score_indices(indices: tuple[int, ...]) -> tuple[float, Decomposition | None]:
-        nonlocal scored_counter, memo_hits
-        hit = cache.get(indices)
-        if hit is None:
-            chosen = [lists[i][j] for i, j in enumerate(indices)]
-            # Second-level, content-hash key: distinct index tuples can
-            # select mathematically identical rows (representation lists
-            # share members across polynomials in shifted-copy systems).
-            key = tuple(rep.poly for rep in chosen)
-            hit = content_cache.get(key)
-            if hit is None:
-                if run_dag is not None:
-                    hit = (_dag_score(chosen, registry, options, run_dag), None)
-                else:
-                    hit = _score(chosen, registry, options, signature)
-                content_cache[key] = hit
-                scored_counter += 1
-                if emitting:
-                    events.emit(
-                        "combo_scored",
-                        scored=scored_counter,
-                        bound=search_bound,
-                        cost=hit[0],
-                    )
-            else:
-                memo_hits += 1
-                if emitting:
-                    events.emit("combo_memo_hit", level="content")
-            cache[indices] = hit
-        else:
+    def score_indices(indices: tuple[int, ...]) -> float:
+        nonlocal scored, memo_hits
+        cost = cache.get(indices)
+        if cost is not None:
             memo_hits += 1
             if emitting:
-                events.emit("combo_memo_hit", level="indices")
-        return hit
+                events.emit("combo_memo_hit")
+            return cost
+        chosen = [lists[i][j] for i, j in enumerate(indices)]
+        cost = _dag_score(chosen, registry, options, dag)
+        cache[indices] = cost
+        scored += 1
+        if emitting:
+            events.emit("combo_scored", scored=scored, bound=search_bound, cost=cost)
+        return cost
 
     def note_prune(surrogate: int, bound: float) -> None:
-        nonlocal pruned_count
-        pruned_count += 1
+        nonlocal pruned
+        pruned += 1
         if emitting:
             events.emit("combo_pruned", surrogate=surrogate, bound=bound)
 
-    def exact_score(indices: tuple[int, ...]) -> tuple[float, Decomposition]:
-        """Assemble and exactly score one finalist (dag mode only).
-
-        Content-keyed like the surrogate memo: distinct index tuples
-        that select identical rows pay for one assembly.
-        """
-        chosen = [lists[i][j] for i, j in enumerate(indices)]
-        key = tuple(rep.poly for rep in chosen)
-        hit = exact_cache.get(key)
-        if hit is None:
-            hit = _score(chosen, registry, options, signature)
-            exact_cache[key] = hit
-        return hit
-
-    with _phase(timings, tracer, "search", deadline) as clock:
+    with phase("search") as clock:
         sizes = [len(reps) for reps in lists]
-        search_space = 1
-        for size in sizes:
-            search_space *= size
-        total = 1
-        for size in sizes:
-            total *= size
-            if total > options.exhaustive_limit:
-                break
+        search_space = prod(sizes)
 
-        # Surrogate weights for branch-and-bound pruning: the standalone
-        # (pre-CSE) weighted cost of each representation, closure
-        # included.  Final CSE can only *remove* shared work, so a
-        # combination whose surrogate total is several times the best
-        # scored combination's surrogate is dominated — the shared-term
-        # pool it offers is a subset of what cheaper members already
-        # provide — and scoring it (a full CSE run) is wasted budget.
-        # The prune is deterministic and independent of the memo caches,
-        # so memoized and cold searches visit identical combinations.
+        # Surrogate weights for the branch-and-bound prune (see
+        # _PRUNE_FACTOR): the standalone weighted cost of each
+        # representation, block closure included.
         weights = [
             [_standalone_weight(rep.poly, registry) for rep in reps]
             for reps in lists
         ]
+        seeds = _search_seeds(lists, weights)
 
-        search_mode = "exhaustive" if total <= options.exhaustive_limit else "descent"
-        if search_mode == "exhaustive":
-            search_bound = total
-        else:
-            search_bound = (
-                len(_search_seeds(lists, weights)) + options.descent_budget
-            )
+        exhaustive = search_space <= options.exhaustive_limit
+        search_mode = "exhaustive" if exhaustive else "descent"
+        search_bound = (
+            search_space if exhaustive else len(seeds) + options.descent_budget
+        )
 
         degraded_search = False
         try:
-            if search_mode == "exhaustive":
-                best_indices = None
-                best_cost = None
-                best_surrogate = None
-                for indices in product(*(range(s) for s in sizes)):
-                    surrogate = sum(
-                        row[j] for row, j in zip(weights, indices)
-                    )
-                    if (
-                        best_surrogate is not None
-                        and surrogate > _PRUNE_FACTOR * best_surrogate
-                    ):
-                        note_prune(surrogate, _PRUNE_FACTOR * best_surrogate)
-                        continue
-                    cost, _ = score_indices(indices)
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        best_indices = indices
-                        best_surrogate = surrogate
-                    elif surrogate < best_surrogate:
-                        # Track the cheapest surrogate among scored
-                        # combinations so the bound only tightens.
-                        best_surrogate = surrogate
+            if exhaustive:
+                best_indices = _exhaustive_search(
+                    sizes, weights, score_indices, note_prune
+                )
             else:
-                best_indices, best_cost = _seeded_descent(
-                    lists, sizes, weights, options, score_indices, note_prune
+                best_indices = _seeded_descent(
+                    seeds, sizes, weights, options, score_indices, note_prune
                 )
         except BudgetExceeded as exc:
             # Out of budget mid-search: settle for the best combination
-            # scored so far (the search caches every scored candidate).
+            # scored so far (the memo holds every scored candidate).
             # If nothing at all was scored, escalate to the fallback
             # ladder — even a single scoring pass was too expensive.
             if not cache:
                 raise
-            best_indices = min(cache, key=lambda indices: cache[indices][0])
+            best_indices = min(cache, key=cache.__getitem__)
             degraded_search = True
             degradations.append(Degradation("search", "partial", str(exc)))
             events.emit("degradation", phase="search", action="partial")
@@ -980,119 +971,44 @@ def _synthesize_flow(
             # below must finish, so enforcement stops here.
             deadline.disarm()
 
-        assert best_indices is not None
-        dag_finalist_count = 0
-        if run_dag is not None:
-            # Finalist pass: the DAG surrogate ranked every combination
-            # by shared operator count; only a shortlist is now lowered
-            # through the exact extractor and area model.  The shortlist
-            # is the family seeds (each algebraic family's cheapest
-            # member — they carry the relative-quality guarantees the
-            # test suite pins against the factor+cse baseline) plus the
-            # top surrogate ranks, deduplicated in that order.  Over
-            # budget, the surrogate winner alone is assembled — the
-            # deadline is already disarmed, so one assembly is safe.
-            if degraded_search:
-                finalists = [best_indices]
-            else:
-                ranked = sorted(cache, key=lambda idx: (cache[idx][0], idx))
-                finalists = list(
-                    dict.fromkeys(
-                        [
-                            s
-                            for s in _search_seeds(lists, weights)
-                            if s in cache
-                        ]
-                        + ranked[:_DAG_FINALISTS]
-                    )
-                )
-            best_exact = None
-            for idx in finalists:
-                cost, _ = exact_score(idx)
-                dag_finalist_count += 1
-                if emitting:
-                    events.emit(
-                        "dag_finalist",
-                        cost=cost,
-                        surrogate=cache[idx][0],
-                        chosen=[lists[i][j].tag for i, j in enumerate(idx)],
-                    )
-                if best_exact is None or cost < best_exact:
-                    best_exact = cost
-                    best_indices = idx
-            winner_cost, decomposition = exact_score(best_indices)
-            dag_stats = run_dag.stats()
-            if emitting:
-                events.emit(
-                    "dag_stats",
-                    **dag_stats.as_dict(),
-                    finalists=dag_finalist_count,
-                )
-        else:
-            dag_stats = None
-            # Direct cache read: the winner was necessarily scored, and
-            # the retrieval must not inflate the memo-hit telemetry.
-            winner_cost, decomposition = cache[best_indices]
-        trace.record(
-            "search",
-            f"{scored_counter} combination(s) scored",
-            chosen=[lists[i][j].tag for i, j in enumerate(best_indices)],
+        # Over budget, the surrogate winner alone is assembled — the
+        # deadline is already disarmed, so one assembly is safe.
+        finalists = [best_indices] if degraded_search else _shortlist(seeds, cache)
+        best_indices, winner_cost, decomposition = _assemble_finalists(
+            finalists, lists, registry, options, signature, cache
         )
-        chosen = [lists[i][j] for i, j in enumerate(best_indices)]
+        dag_stats = dag.stats()
+        if emitting:
+            events.emit("dag_stats", **dag_stats.as_dict(), finalists=len(finalists))
 
-        # Never-worse-than-direct guard.  Every assembled combination is
-        # rendered through ``best_expression``, which Horner-factors rows
-        # whenever the *op count* improves — but on non-uniform widths the
-        # width-aware area model can disagree (factoring can push a
-        # constant multiply onto a wide operand).  The all-original seed
-        # is therefore not the direct SOP, and the search can return a
-        # decomposition costlier than the naive baseline.  Scoring the
-        # flat direct form under the same objective restores the
-        # guarantee that the flow is a superset of ``direct``.
-        direct_dec = Decomposition(method="poly_synth")
-        for poly in system:
-            direct_dec.outputs.append(expr_from_polynomial(poly))
-        direct_fallback = False
-        if _score_assembled(direct_dec, options, signature) < winner_cost:
-            decomposition = direct_dec
-            direct_fallback = True
-            trace.record(
-                "search",
-                "direct SOP beat every assembled combination; kept direct",
-            )
+        direct = _direct_if_cheaper(system, winner_cost, options, signature)
+        direct_fallback = direct is not None
+        if direct is not None:
+            decomposition = direct
             clock.count(direct_fallback=1)
 
-        initial = direct_cost(system, options)
-        final = decomposition.op_count()
         clock.count(
-            combinations=scored_counter,
+            combinations=scored,
             memo_hits=memo_hits,
-            pruned=pruned_count,
-            dag_finalists=dag_finalist_count,
-            ops_initial=_weighted(initial, options),
-            ops_final=_weighted(final, options),
+            pruned=pruned,
+            dag_finalists=len(finalists),
+            ops_initial=_weighted(direct_cost(system, options), options),
+            ops_final=_weighted(decomposition.op_count(), options),
         )
-
-    with _phase(timings, tracer, "validate", deadline):
-        # Validation is a correctness gate, never skipped: it runs with
-        # the per-phase clock restarted, so a job-budget overrun earlier
-        # in the flow does not leave the winning decomposition unchecked.
-        _validate(decomposition, system, chosen, signature)
 
     provenance = Provenance(
         objective=options.objective,
         search_mode=search_mode,
         search_space=search_space,
         search_bound=search_bound,
-        combinations_scored=scored_counter,
+        combinations_scored=scored,
         memo_hits=memo_hits,
-        pruned=pruned_count,
+        pruned=pruned,
         direct_fallback=direct_fallback,
-        cse_mode=options.cse_mode,
-        dag_nodes=dag_stats.nodes if dag_stats else 0,
-        dag_intern_hits=dag_stats.intern_hits if dag_stats else 0,
-        dag_shared_nodes=dag_stats.shared_nodes if dag_stats else 0,
-        dag_finalists=dag_finalist_count,
+        dag_nodes=dag_stats.nodes,
+        dag_intern_hits=dag_stats.intern_hits,
+        dag_shared_nodes=dag_stats.shared_nodes,
+        dag_finalists=len(finalists),
         chosen=[
             ChosenRepresentation(
                 polynomial=str(poly),
@@ -1102,42 +1018,131 @@ def _synthesize_flow(
             )
             for i, (poly, j) in enumerate(zip(system, best_indices))
         ],
-        blocks={
-            name: str(expr) for name, expr in decomposition.blocks.items()
-        },
+        blocks={name: str(expr) for name, expr in decomposition.blocks.items()},
         degradations=[str(d) for d in degradations],
     )
-
-    return SynthesisResult(
-        decomposition=decomposition,
-        op_count=final,
-        initial_op_count=initial,
-        representation_lists=lists,
-        chosen=best_indices,
-        registry=registry,
-        combinations_scored=scored_counter,
-        trace=trace,
-        timings=timings,
-        degradations=degradations,
-        provenance=provenance,
-    )
+    return best_indices, decomposition, provenance
 
 
 #: Branch-and-bound prune margin for the combination search: skip scoring
 #: a combination whose standalone-weight surrogate exceeds this multiple
 #: of the best scored combination's surrogate.  The surrogate is an upper
-#: envelope (final CSE only removes work), so the factor is deliberately
+#: envelope: final CSE can only *remove* shared work, so a combination
+#: whose surrogate is several times the best one's is dominated — the
+#: shared-term pool it offers is a subset of what cheaper members already
+#: provide — and scoring it is wasted budget.  The factor is deliberately
 #: generous — the prune should only drop combinations that are dominated
-#: beyond any plausible sharing gain.
+#: beyond any plausible sharing gain.  The prune is deterministic and
+#: independent of the memo, so memoized and cold searches visit
+#: identical combinations.
 _PRUNE_FACTOR = 3.0
 
 #: Number of top surrogate-ranked combinations (beyond the family seeds)
-#: that dag mode lowers through the exact rectangle extractor.  The DAG
+#: that the search lowers through the exact rectangle extractor.  The DAG
 #: surrogate ranks the exact winner first or second on every calibration
 #: system; a small buffer keeps the finalist pass robust to ranking
 #: noise without re-paying the per-combination CSE cost the surrogate
 #: exists to avoid.
 _DAG_FINALISTS = 4
+
+
+def _shortlist(
+    seeds: list[tuple[int, ...]], surrogates: dict[tuple[int, ...], float]
+) -> list[tuple[int, ...]]:
+    """The finalists the search lowers through the exact extractor.
+
+    The DAG surrogate ranked every scored combination by shared operator
+    count; only a shortlist is assembled and priced under the objective.
+    The shortlist is the scored family seeds (each algebraic family's
+    cheapest member — they carry the relative-quality guarantees the
+    test suite pins against the factor+cse baseline) plus the top
+    surrogate ranks, deduplicated in that order.
+    """
+    ranked = sorted(surrogates, key=lambda idx: (surrogates[idx], idx))
+    return list(dict.fromkeys(
+        [s for s in seeds if s in surrogates] + ranked[:_DAG_FINALISTS]
+    ))
+
+
+def _direct_if_cheaper(
+    system: list[Polynomial],
+    winner_cost: float,
+    options: SynthesisOptions,
+    signature: BitVectorSignature | None,
+) -> Decomposition | None:
+    """The flat direct SOP when it beats the search's winner, else None.
+
+    Never-worse-than-direct guard.  Every assembled combination is
+    rendered through ``best_expression``, which Horner-factors rows
+    whenever the *op count* improves — but on non-uniform widths the
+    width-aware area model can disagree (factoring can push a constant
+    multiply onto a wide operand).  The all-original seed is therefore
+    not the direct SOP, and the search can return a decomposition
+    costlier than the naive baseline.  Scoring the flat direct form
+    under the same objective restores the guarantee that the flow is a
+    superset of ``direct``.
+    """
+    direct = Decomposition(method="poly_synth")
+    for poly in system:
+        direct.outputs.append(expr_from_polynomial(poly))
+    if _score_assembled(direct, options, signature) < winner_cost:
+        return direct
+    return None
+
+
+def _exhaustive_search(
+    sizes: list[int],
+    weights: list[list[int]],
+    score_indices,
+    note_prune,
+) -> tuple[int, ...]:
+    """Score every combination the branch-and-bound prune lets through."""
+    best_indices = None
+    best_cost = None
+    best_surrogate = None
+    for indices in product(*(range(s) for s in sizes)):
+        surrogate = sum(row[j] for row, j in zip(weights, indices))
+        if best_surrogate is not None and surrogate > _PRUNE_FACTOR * best_surrogate:
+            note_prune(surrogate, _PRUNE_FACTOR * best_surrogate)
+            continue
+        cost = score_indices(indices)
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_indices = indices
+            best_surrogate = surrogate
+        elif surrogate < best_surrogate:
+            # Track the cheapest surrogate among scored combinations so
+            # the bound only tightens.
+            best_surrogate = surrogate
+    assert best_indices is not None
+    return best_indices
+
+
+def _assemble_finalists(
+    finalists: list[tuple[int, ...]],
+    lists: list[list[Representation]],
+    registry: BlockRegistry,
+    options: SynthesisOptions,
+    signature: BitVectorSignature | None,
+    surrogates: dict[tuple[int, ...], float],
+) -> tuple[tuple[int, ...], float, Decomposition]:
+    """Assemble and exactly score each finalist; the first cheapest wins."""
+    events = current_events()
+    winner: tuple[tuple[int, ...], float, Decomposition] | None = None
+    for indices in finalists:
+        chosen = [lists[i][j] for i, j in enumerate(indices)]
+        cost, decomposition = _score(chosen, registry, options, signature)
+        if events.enabled:
+            events.emit(
+                "dag_finalist",
+                cost=cost,
+                surrogate=surrogates[indices],
+                chosen=[rep.tag for rep in chosen],
+            )
+        if winner is None or cost < winner[1]:
+            winner = (indices, cost, decomposition)
+    assert winner is not None
+    return winner
 
 
 def _search_seeds(
@@ -1180,13 +1185,13 @@ def _search_seeds(
 
 
 def _seeded_descent(
-    lists: list[list[Representation]],
+    seeds: list[tuple[int, ...]],
     sizes: list[int],
     weights: list[list[int]],
     options: SynthesisOptions,
     score_indices,
-    note_prune=None,
-) -> tuple[tuple[int, ...], float]:
+    note_prune,
+) -> tuple[int, ...]:
     """Score the family seeds, then coordinate-descend from the best one.
 
     Single-coordinate moves whose surrogate weight regresses the current
@@ -1197,8 +1202,8 @@ def _seeded_descent(
     """
     best_indices: tuple[int, ...] | None = None
     best_cost: float | None = None
-    for seed in _search_seeds(lists, weights):
-        cost, _ = score_indices(seed)
+    for seed in seeds:
+        cost = score_indices(seed)
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_indices = seed
@@ -1212,7 +1217,7 @@ def _seeded_descent(
     bound = _PRUNE_FACTOR * best_surrogate
     for _ in range(options.descent_sweeps):
         improved = False
-        for i in range(len(lists)):
+        for i in range(len(sizes)):
             for j in range(sizes[i]):
                 if j == best_indices[i]:
                     continue
@@ -1220,11 +1225,10 @@ def _seeded_descent(
                     best_surrogate - weights[i][best_indices[i]] + weights[i][j]
                 )
                 if trial_surrogate > bound:
-                    if note_prune is not None:
-                        note_prune(trial_surrogate, bound)
+                    note_prune(trial_surrogate, bound)
                     continue
                 trial = best_indices[:i] + (j,) + best_indices[i + 1:]
-                cost, _ = score_indices(trial)
+                cost = score_indices(trial)
                 scored += 1
                 if cost < best_cost:
                     best_cost = cost
@@ -1233,10 +1237,10 @@ def _seeded_descent(
                     bound = _PRUNE_FACTOR * best_surrogate
                     improved = True
                 if scored >= budget:
-                    return best_indices, best_cost
+                    return best_indices
         if not improved:
             break
-    return best_indices, best_cost
+    return best_indices
 
 
 def _factor_block_definitions(

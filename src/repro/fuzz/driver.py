@@ -61,13 +61,10 @@ class Strategy:
 
 
 #: The strategy matrix ``proposed`` runs under.  ``area`` is the shipped
-#: default (which scores on the expression DAG); ``rectangle`` pins the
-#: pre-DAG per-combination CSE scorer so every sweep differentially
-#: tests dag-vs-rectangle; ``ops`` flips the objective; the ablations
-#: force the flow down its alternate code paths.
+#: default; ``ops`` flips the objective; the ablations force the flow
+#: down its alternate code paths.
 DEFAULT_STRATEGIES: tuple[Strategy, ...] = (
     Strategy("area", SynthesisOptions()),
-    Strategy("rectangle", SynthesisOptions(cse_mode="rectangle")),
     Strategy("ops", SynthesisOptions(objective="ops")),
     Strategy("no-division", SynthesisOptions(enable_division=False, objective="ops")),
     Strategy("no-canonical", SynthesisOptions(enable_canonical=False, objective="ops")),
@@ -286,10 +283,7 @@ def check_case(case: FuzzCase, config: FuzzConfig) -> CaseResult:
             area = estimate_decomposition(decomposition, system.signature).area
             if label == "direct":
                 direct_area = area
-            elif (
-                label in ("proposed[area]", "proposed[rectangle]")
-                and direct_area is not None
-            ):
+            elif label == "proposed[area]" and direct_area is not None:
                 if area > direct_area * (1.0 + _COST_TOLERANCE):
                     result.findings.append(Finding(
                         kind="cost", case_id=case.case_id, shape=case.shape,

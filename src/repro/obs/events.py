@@ -51,8 +51,8 @@ EVENT_KINDS = frozenset(
         "combo_scored",    # the search scored a fresh combination
         "combo_memo_hit",  # the search served a combination from a memo
         "combo_pruned",    # branch-and-bound skipped a combination
-        "dag_finalist",    # dag mode assembled one shortlisted combination
-        "dag_stats",       # dag mode's end-of-search interning statistics
+        "dag_finalist",    # the search assembled one shortlisted combination
+        "dag_stats",       # interning statistics at the end of the search
         "kernel_chosen",   # the CSE extractor applied its best candidate
         "block_registered",  # cube/factor exposure registered a block
         "cache_hit",       # engine served a job from the result cache

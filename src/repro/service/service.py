@@ -419,14 +419,16 @@ class SynthesisService:
 
     def _run_group(self, group: list[JobRecord]) -> None:
         engine = self._engine_for(group[0])
+        started: list[JobRecord] = []
         jobs: list[BatchJob] = []
         for record in group:
             assert record.lease_id is not None
-            self.store.start(record.job_id, record.lease_id)
-            with self._running_lock:
-                self._running[record.job_id] = record.lease_id
-            jobs.append(
-                BatchJob(
+            # Build the job before the record turns running: a record this
+            # code cannot read (e.g. options written by an older release)
+            # must fail on its own, not sit in running under a lease the
+            # heartbeat keeps extending.
+            try:
+                job = BatchJob(
                     system=_system_of(record),
                     options=(
                         SynthesisOptions(**record.options)
@@ -436,13 +438,26 @@ class SynthesisService:
                     method=record.method,
                     name=record.job_id,
                 )
-            )
+            except Exception as exc:  # noqa: BLE001 - fail this record only
+                self.store.start(record.job_id, record.lease_id)
+                self.store.complete(
+                    record.job_id, record.lease_id, JobState.FAILED,
+                    error=f"unreadable job record: {type(exc).__name__}: {exc}",
+                )
+                continue
+            self.store.start(record.job_id, record.lease_id)
+            with self._running_lock:
+                self._running[record.job_id] = record.lease_id
+            started.append(record)
+            jobs.append(job)
+        if not jobs:
+            return
         try:
             with use_events(self.events):
                 report = engine.run(jobs)
         except Exception as exc:  # noqa: BLE001 - engine blew up wholesale
-            logger.exception("engine failed for %d job(s)", len(group))
-            for record in group:
+            logger.exception("engine failed for %d job(s)", len(started))
+            for record in started:
                 lease_id = self._pop_running(record.job_id)
                 if lease_id is None:
                     continue
@@ -454,7 +469,7 @@ class SynthesisService:
                 except Exception:  # noqa: BLE001 - lease was reaped meanwhile
                     pass
             return
-        for record, result in zip(group, report.results):
+        for record, result in zip(started, report.results):
             lease_id = self._pop_running(record.job_id)
             if lease_id is None:
                 # The reaper took the lease mid-run (an extreme stall);

@@ -11,6 +11,7 @@ import json
 
 from repro.__main__ import main
 from repro.core import (
+    Budget,
     ChosenRepresentation,
     Provenance,
     SynthesisOptions,
@@ -19,17 +20,22 @@ from repro.core import (
     synthesis_cache_sizes,
     synthesize,
 )
+from repro.fuzz import generate_case
 from repro.obs import Tracer, get_registry, use_tracer
 from repro.suite import get_system
 
 
-def traced_synthesis(name, options=None):
-    system = get_system(name)
+def traced_synthesis(name_or_system, budget=None):
+    system = (
+        get_system(name_or_system)
+        if isinstance(name_or_system, str)
+        else name_or_system
+    )
     clear_synthesis_caches()
     get_registry().reset()
     with use_tracer(Tracer()):
         result = synthesize(
-            list(system.polys), system.signature, options or SynthesisOptions()
+            list(system.polys), system.signature, SynthesisOptions(), budget=budget
         )
     return system, result
 
@@ -69,14 +75,8 @@ class TestProvenanceRecord:
 
 class TestMetricsAgreement:
     def test_counters_match_provenance_exactly(self):
-        """SG 3X2 exercises descent + memo hits; views must agree.
-
-        Pinned to rectangle mode: dag mode's surrogate scores steer the
-        descent down a different (hit-free) path on this system.
-        """
-        _, result = traced_synthesis(
-            "SG 3X2", SynthesisOptions(cse_mode="rectangle")
-        )
+        """A gcd-ladder fuzz system whose search memoizes; views must agree."""
+        _, result = traced_synthesis(generate_case(0, 29).system)
         prov = result.provenance
         registry = get_registry()
         assert (
@@ -87,13 +87,12 @@ class TestMetricsAgreement:
             registry.counter("repro_search_memo_hits").value == prov.memo_hits
         )
         assert registry.counter("repro_search_pruned").value == prov.pruned
-        assert prov.memo_hits > 0  # SG 3X2's search actually memoizes
+        assert prov.memo_hits > 0  # this system's search actually memoizes
 
     def test_dag_counters_match_provenance_exactly(self):
         """The dag_* counters carry the same integers as the provenance."""
         _, result = traced_synthesis("SG 3X2")
         prov = result.provenance
-        assert prov.cse_mode == "dag"
         registry = get_registry()
         assert (
             registry.counter("repro_search_combos_scored").value
@@ -118,11 +117,14 @@ class TestMetricsAgreement:
         assert prov.dag_finalists > 0
 
     def test_rectangle_mode_publishes_no_dag_counters(self):
-        _, result = traced_synthesis(
-            "Table 14.1", SynthesisOptions(cse_mode="rectangle")
-        )
+        """A degraded run never reaches the dag search, so no dag counters.
+
+        Its decomposition comes from the factor+cse baseline's rectangle
+        covering alone.
+        """
+        _, result = traced_synthesis("Table 14.1", budget=Budget(job_seconds=0))
         prov = result.provenance
-        assert prov.cse_mode == "rectangle"
+        assert prov.search_mode == "degraded"
         assert prov.dag_nodes == 0
         assert prov.dag_finalists == 0
         registry = get_registry()
@@ -169,9 +171,9 @@ class TestExplainReport:
         assert f"{prov.dag_finalists} finalist(s) assembled" in text
 
     def test_rectangle_text_omits_dag_line(self):
-        _, result = traced_synthesis(
-            "Table 14.1", SynthesisOptions(cse_mode="rectangle")
-        )
+        """A degraded (rectangle-cover baseline) result has no dag line."""
+        _, result = traced_synthesis("Table 14.1", budget=Budget(job_seconds=0))
+        assert result.provenance.search_mode == "degraded"
         assert "dag sharing" not in explain_text(result)
 
     def test_missing_provenance_degrades_gracefully(self):

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SynthesisOptions
 from repro.fuzz import (
     Finding,
     FuzzConfig,
@@ -23,17 +22,10 @@ from repro.fuzz import (
     verify_entry,
     write_corpus_entry,
 )
-from repro.fuzz.driver import Strategy
+from repro.fuzz.driver import DEFAULT_STRATEGIES
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 SHIPPED = sorted(CORPUS_DIR.glob("*.json"))
-
-#: The cse-mode replay matrix: both scorers, both labelled so the
-#: driver's never-worse-than-direct cost oracle applies to each.
-CSE_MODES = (
-    Strategy("area", SynthesisOptions(cse_mode="dag")),
-    Strategy("rectangle", SynthesisOptions(cse_mode="rectangle")),
-)
 
 
 class TestShippedCorpus:
@@ -51,25 +43,23 @@ class TestShippedCorpus:
     @pytest.mark.parametrize(
         "path", SHIPPED, ids=[p.stem for p in SHIPPED]
     )
-    def test_entry_verdict_is_mode_independent(self, path):
-        """Replay every locked regression under both cse modes.
+    def test_entry_area_flow_never_loses_to_direct(self, path):
+        """Replay every locked regression through the shipped flow.
 
-        The dag scorer must agree with the rectangle scorer on every
-        archived bug: same functional verdict from the exact oracle,
-        and neither mode's area-objective result worse than direct
-        (the driver's cost oracle covers both lineup entries because
-        both strategies carry cost-checked labels).
+        The area-objective result must pass the exact oracle and must
+        not cost more area than direct (the driver's cost oracle checks
+        the ``proposed[area]`` lineup entry against ``direct``).
         """
         entry = load_corpus_entry(path)
         config = FuzzConfig(
-            methods=("direct", "proposed"), strategies=CSE_MODES
+            methods=("direct", "proposed"), strategies=(DEFAULT_STRATEGIES[0],)
         )
         result = replay_entry(entry, config)
-        assert result.methods_run == 3  # direct + one run per mode
-        mode_findings = [
-            f for f in result.findings if f.method.startswith("proposed[")
+        assert result.methods_run == 2  # direct + proposed[area]
+        flow_findings = [
+            f for f in result.findings if f.method == "proposed[area]"
         ]
-        assert not mode_findings, "\n".join(str(f) for f in mode_findings)
+        assert not flow_findings, "\n".join(str(f) for f in flow_findings)
 
 
 class TestRoundTrip:

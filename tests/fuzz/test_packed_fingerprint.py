@@ -7,8 +7,8 @@ replayed through the full flow twice (``REPRO_PACKED`` forced on, then
 off, with the process caches cleared in between so nothing computed in
 one mode leaks into the other) and the results are fingerprinted over
 the block definitions, the output expressions, and the operator counts.
-Both cse modes run: ``rectangle`` drives the exact extractor the packed
-port rewrote; ``dag`` drives the DAG-priced search above it.
+The flow's DAG-priced search lowers its finalists through the exact
+extractor the packed port rewrote, so one run covers both layers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import clear_caches
-from repro.core import SynthesisOptions, synthesize
+from repro.core import synthesize
 from repro.fuzz import entry_case, load_corpus_entry
 from repro.poly.packed import set_packed_enabled
 
@@ -44,22 +44,20 @@ def _fingerprint(result) -> str:
     return digest.hexdigest()
 
 
-def _run(system, options) -> str:
+def _run(system) -> str:
     clear_caches()
-    result = synthesize(list(system.polys), system.signature, options)
+    result = synthesize(list(system.polys), system.signature)
     return _fingerprint(result)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
-@pytest.mark.parametrize("cse_mode", ["rectangle", "dag"])
-def test_corpus_fingerprints_identical_packed_on_off(path, cse_mode):
+def test_corpus_fingerprints_identical_packed_on_off(path):
     system = entry_case(load_corpus_entry(path)).system
-    options = SynthesisOptions(cse_mode=cse_mode)
     try:
         set_packed_enabled(True)
-        packed = _run(system, options)
+        packed = _run(system)
         set_packed_enabled(False)
-        tuples = _run(system, options)
+        tuples = _run(system)
     finally:
         set_packed_enabled(None)
         clear_caches()

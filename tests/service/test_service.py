@@ -222,3 +222,33 @@ class TestDrainAndResume:
         assert len(report.results) == 1
         assert report.results[0].ok
         assert not service.ready  # drained services stop admitting
+
+
+class TestUnreadableRecords:
+    def test_stale_options_record_fails_while_its_group_finishes(self, tmp_path):
+        """A queued record whose options name a field this release no
+        longer has (as an older release's ``SynthesisOptions`` did) must
+        end ``failed`` instead of wedging in ``running``; the jobs leased
+        in the same group still run to done."""
+        service = make_service(tmp_path)
+        first, _ = service.submit(system_to_dict(tiny_system(11)))
+        # Written straight to the store, as the older release's submit
+        # path would have accepted it.
+        stale, _ = service.store.submit(
+            key="stale-options", tenant="default", method="proposed",
+            label="stale", system=system_to_dict(tiny_system(12)),
+            options={"objective": "area", "retired_scorer_switch": "old"},
+        )
+        last, _ = service.submit(system_to_dict(tiny_system(13)))
+        service.store.close()
+
+        replayed = make_service(tmp_path, batch_size=3)  # one leased group
+        replayed.start()
+        try:
+            failed = wait_terminal(replayed, stale.job_id)
+            done = [wait_terminal(replayed, r.job_id) for r in (first, last)]
+        finally:
+            replayed.stop()
+        assert failed.state == JobState.FAILED
+        assert "retired_scorer_switch" in failed.error
+        assert [r.state for r in done] == [JobState.DONE, JobState.DONE]
