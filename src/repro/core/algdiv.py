@@ -10,21 +10,41 @@ A successful chain turns ``x^2 + 6xy + 9y^2`` into ``d^2`` with
 other expression manipulation techniques can identify this
 transformation".  Divisions are kept as *candidate representations*; the
 combination search of Algorithm 7 decides which ones win.
+
+Both sweeps over the divisor pool avoid work that cannot change their
+result:
+
+* :func:`refine_block_definitions` evaluates every ground polynomial at
+  two fixed integer points and skips a (ground, divisor) pair whose
+  values do not divide.  The skip is exact: ``l | g`` in ``Z[x]``
+  implies ``l(a) | g(a)``.  Only the pairs that pass are divided.
+* :func:`division_candidates` sizes one packed context per dividend —
+  every divisor is linear, so the dividend's degree bounds every pair —
+  and packs each divisor straight into the dividend's variable frame
+  (:func:`_pack_linear`), so no divisor is re-aligned or re-packed.
 """
 
 from __future__ import annotations
 
+import random
+
 from repro.obs import current_tracer
-from repro.poly import Polynomial, divmod_poly
-from repro.poly.division import (
-    _divide_out_all_packed,
-    _packed_divmod_core,
-    _packed_lead_rest,
-)
+from repro.poly import Polynomial, divide_out_all, divmod_poly
+from repro.poly.division import _packed_divmod_core
 from repro.poly.packed import PackedContext, packed_enabled, packed_form
 
 from .blocks import BlockRegistry
 from .budget import CHECK_STRIDE, current_deadline
+
+#: Seed of the refinement screen's evaluation points.  Fixed, so which
+#: pairs reach exact division never depends on the run or the hash seed.
+_SCREEN_SEED = 0x5C4EE1
+
+#: A packed divisor: ``(leading monomial, leading coeff, other terms)``.
+PackedDivisor = tuple[int, int, list[tuple[int, int]]]
+
+#: Packed ``(quotient, remainder)`` of each reduction level of a chain.
+Levels = list[tuple[dict[int, int], dict[int, int]]]
 
 
 def divide_by_block(
@@ -56,9 +76,15 @@ def divide_by_block(
             max(poly.total_degree(), divisor_ground.total_degree()),
         )
     if ctx is not None:
-        return _divide_by_block_packed(
-            poly, divisor_ground, block_name, max_depth, ctx
+        levels = _packed_division_levels(
+            packed_form(poly, ctx).term_map(),
+            packed_form(divisor_ground, ctx).lead_rest(),
+            max_depth,
+            ctx,
         )
+        if levels is None:
+            return None
+        return _assemble_packed_levels(poly, levels, block_name, ctx)
     quotient, remainder = divmod_poly(poly, divisor_ground)
     if quotient.is_zero:
         return None
@@ -71,31 +97,50 @@ def divide_by_block(
     return block_var * inner + remainder
 
 
+def _pack_linear(
+    divisor: Polynomial, unit_of: dict[str | None, int]
+) -> PackedDivisor:
+    """A linear divisor packed into a dividend's variable frame.
+
+    ``unit_of`` maps each dividend variable to its packed monomial
+    (``ctx.unit(position)``) and ``None`` to the packed constant
+    monomial (``ctx.capshift``).  A linear term is a constant or one
+    variable, so the divisor never needs aligning to the dividend
+    first.
+    """
+    names = divisor.vars
+    packed: dict[int, int] = {}
+    for exps, coeff in divisor.terms.items():
+        packed[unit_of[names[exps.index(1)] if 1 in exps else None]] = coeff
+    lead = min(packed)
+    return lead, packed[lead], [(p, c) for p, c in packed.items() if p != lead]
+
+
 def _packed_division_levels(
-    poly: Polynomial,
-    divisor_ground: Polynomial,
+    work_map: dict[int, int],
+    divisor: PackedDivisor,
     max_depth: int,
     ctx: PackedContext,
-) -> list[tuple[dict[int, int], dict[int, int]]] | None:
+) -> Levels | None:
     """The packed quotient/remainder chain of a block division.
 
     Reduces ``P = l*(l*(...*q + r_m...) + r_1) + r_0`` entirely in
-    packed space; level ``k`` holds the ``(quotient, remainder)`` dicts
-    of the ``k``-th reduction.  Returns ``None`` when the divisor
+    packed space, starting from the packed dividend ``work_map`` (read,
+    never mutated); level ``k`` holds the ``(quotient, remainder)``
+    dicts of the ``k``-th reduction.  Returns ``None`` when the divisor
     yields no quotient at all.  Kept separate from the polynomial
     assembly so the candidate loop can rank chains by term count and
     only materialize the winners.
     """
-    lead, lead_coeff, rest = _packed_lead_rest(divisor_ground, ctx)
-    divisor_degree = divisor_ground.total_degree()
+    lead, lead_coeff, rest = divisor
+    divisor_degree = ctx.degree_of(lead)
     divides = ctx.divides
     degree_of = ctx.degree_of
-    levels: list[tuple[dict[int, int], dict[int, int]]] = []
-    work_map: dict[int, int] = packed_form(poly, ctx).term_map()
+    levels: Levels = []
     depth = max_depth
     while True:
-        # Zero-quotient early-out (same probe as divmod_poly): the
-        # candidate loops try divisor pools where most chains end here.
+        # Zero-quotient early-out (same probe as divmod_poly): no term
+        # divisible by the divisor's lead means no quotient at all.
         for p, c in work_map.items():
             if c % lead_coeff == 0 and divides(lead, p):
                 break
@@ -114,7 +159,7 @@ def _packed_division_levels(
     return levels or None
 
 
-def _level_term_count(levels: list[tuple[dict[int, int], dict[int, int]]]) -> int:
+def _level_term_count(levels: Levels) -> int:
     """``len()`` of the polynomial the levels assemble to, without building it.
 
     Every level gets a distinct block power, so no two emitted terms can
@@ -125,7 +170,7 @@ def _level_term_count(levels: list[tuple[dict[int, int], dict[int, int]]]) -> in
 
 def _assemble_packed_levels(
     poly: Polynomial,
-    levels: list[tuple[dict[int, int], dict[int, int]]],
+    levels: Levels,
     block_name: str,
     ctx: PackedContext,
 ) -> Polynomial:
@@ -161,43 +206,6 @@ def _assemble_packed_levels(
     return Polynomial._raw(union, terms)
 
 
-def _divide_by_block_packed(
-    poly: Polynomial,
-    divisor_ground: Polynomial,
-    block_name: str,
-    max_depth: int,
-    ctx: PackedContext,
-) -> Polynomial | None:
-    """The packed whole-chain equivalent of the recursive tuple path."""
-    levels = _packed_division_levels(poly, divisor_ground, max_depth, ctx)
-    if levels is None:
-        return None
-    return _assemble_packed_levels(poly, levels, block_name, ctx)
-
-
-def _align_for_packed(
-    poly: Polynomial, divisor: Polynomial
-) -> tuple[Polynomial, Polynomial, PackedContext] | None:
-    """Operands aligned + a sized context, or ``None`` -> tuple fallback.
-
-    The same alignment :func:`divide_by_block` performs, hoisted so the
-    candidate loop can drive the packed chain directly.
-    """
-    if not packed_enabled() or poly.is_zero:
-        return None
-    if divisor.vars != poly.vars:
-        if set(divisor.used_vars()) <= set(poly.vars):
-            divisor = divisor.with_vars(poly.vars)
-        else:
-            poly, divisor = Polynomial.unify(poly, divisor)
-    ctx = PackedContext.for_degrees(
-        len(poly.vars), max(poly.total_degree(), divisor.total_degree())
-    )
-    if ctx is None:
-        return None
-    return poly, divisor, ctx
-
-
 def division_candidates(
     ground_poly: Polynomial,
     registry: BlockRegistry,
@@ -207,14 +215,31 @@ def division_candidates(
 
     Tries every registered linear block; candidates are ranked by how much
     structure the division removed (fewer remaining ground terms first)
-    and capped at ``max_candidates``.  In packed mode losing chains are
-    never materialized: the ranking key (the assembled term count) is
-    read off the packed level dicts, and only the ``max_candidates``
-    survivors are built into polynomials after the sort.
+    and capped at ``max_candidates``.  In packed mode the dividend is
+    packed once, every divisor is packed into its variable frame, and
+    losing chains are never materialized: the ranking key (the assembled
+    term count) is read off the packed level dicts, and only the
+    ``max_candidates`` survivors are built into polynomials after the
+    sort.  A candidate always carries a positive power of its block
+    variable, which the dividend does not use, so no candidate can be
+    the dividend itself.
     """
     candidates: list[tuple[int, object]] = []
     poly_vars = set(ground_poly.used_vars())
-    ground_trim = ground_poly.trim()
+    ctx = None
+    if packed_enabled() and not ground_poly.is_zero:
+        # A divisor's degree is at most 1 and an admitted divisor's
+        # variables all occur in the dividend, so this is the context
+        # every (dividend, divisor) pair would size on its own.
+        ctx = PackedContext.for_degrees(
+            len(ground_poly.vars), ground_poly.total_degree()
+        )
+    if ctx is not None:
+        work_map = packed_form(ground_poly, ctx).term_map()
+        unit_of: dict[str | None, int] = {
+            v: ctx.unit(i) for i, v in enumerate(ground_poly.vars)
+        }
+        unit_of[None] = ctx.capshift
     deadline = current_deadline()
     ticking = deadline.enabled
     pending = 0
@@ -230,32 +255,18 @@ def division_candidates(
                 # The block's own variable appears (with positive degree)
                 # in the polynomial — dividing would be self-referential.
                 continue
-            if not set(divisor.used_vars()) <= poly_vars:
+            if not poly_vars.issuperset(divisor.used_vars()):
                 continue  # the divisor mentions variables the polynomial lacks
             divisors += 1
-            prepared = _align_for_packed(ground_poly, divisor)
-            if prepared is not None:
-                apoly, adivisor, ctx = prepared
-                levels = _packed_division_levels(apoly, adivisor, 8, ctx)
-                if levels is None:
-                    continue
-                count = _level_term_count(levels)
-                if count == len(ground_trim):
-                    # Only a count tie can be an identity rewrite; check
-                    # it eagerly so no-op candidates never enter the pool.
-                    rewritten = _assemble_packed_levels(apoly, levels, name, ctx)
-                    if rewritten.trim() == ground_trim:
-                        continue
-                    candidates.append((count, rewritten))
-                else:
-                    candidates.append((count, (apoly, levels, name, ctx)))
+            if ctx is not None:
+                levels = _packed_division_levels(
+                    work_map, _pack_linear(divisor, unit_of), 8, ctx
+                )
+                if levels is not None:
+                    candidates.append((_level_term_count(levels), (levels, name)))
                 continue
             rewritten = divide_by_block(ground_poly, divisor, name)
             if rewritten is None:
-                continue
-            # Equal polynomials need equal term counts — skip the trim
-            # and comparison when the counts already differ.
-            if len(rewritten) == len(ground_trim) and rewritten.trim() == ground_trim:
                 continue
             # Rank: strongly prefer representations with fewer terms (more of
             # the polynomial folded into the block structure).
@@ -269,8 +280,8 @@ def division_candidates(
         if isinstance(entry, Polynomial):
             chosen.append(entry)
         else:
-            apoly, levels, name, ctx = entry
-            chosen.append(_assemble_packed_levels(apoly, levels, name, ctx))
+            levels, name = entry
+            chosen.append(_assemble_packed_levels(ground_poly, levels, name, ctx))
     return chosen
 
 
@@ -283,35 +294,54 @@ def refine_block_definitions(registry: BlockRegistry) -> int:
     ``d1^2`` once ``d1 = x + y`` exists.  Returns how many definitions
     were rewritten.
     """
-    from repro.poly import divide_out_all
-
-    rewritten = 0
     with current_tracer().span("algdiv/refine") as span:
-        rewritten = _refine_block_definitions(registry, divide_out_all)
+        rewritten = _refine_block_definitions(registry)
         span.count(rewritten=rewritten)
     return rewritten
 
 
-def _refine_block_definitions(registry: BlockRegistry, divide_out_all) -> int:
+def _screen_points(names: set[str]) -> tuple[dict[str, int], dict[str, int]]:
+    """The two evaluation points of the refinement screen.
+
+    Every variable gets an odd 61-bit value drawn from a fixed-seed
+    generator in sorted-name order, so the points depend only on the
+    variable names.
+    """
+    rng = random.Random(_SCREEN_SEED)
+    ordered = sorted(names)
+    first = {v: rng.getrandbits(61) | 1 for v in ordered}
+    second = {v: rng.getrandbits(61) | 1 for v in ordered}
+    return first, second
+
+
+def _refine_block_definitions(registry: BlockRegistry) -> int:
     deadline = current_deadline()
     ticking = deadline.enabled
     pending = 0
     rewritten = 0
-    use_packed = packed_enabled()
+    names: set[str] = set()
+    for ground in registry.ground.values():
+        names.update(ground.used_vars())
+    first, second = _screen_points(names)
+    divisors = [
+        (
+            divisor_name,
+            divisor,
+            set(divisor.used_vars()),
+            divisor.evaluate(first),
+            divisor.evaluate(second),
+        )
+        for divisor_name, divisor in registry.linear_blocks()
+    ]
     for name in list(registry.defs):
         ground = registry.ground[name]
         if ground.is_linear:
             continue
         best: Polynomial | None = None
         ground_used = set(ground.used_vars())
-        ground_degree = ground.total_degree()
-        # One context and one packed form serve the whole divisor sweep:
-        # every admitted divisor has degree <= the ground's, so the
-        # context divide_out_all would size per pair is this one.
-        ctx = None
-        if use_packed and not ground.is_zero:
-            ctx = PackedContext.for_degrees(len(ground.vars), ground_degree)
-        for divisor_name, divisor in registry.linear_blocks():
+        at_first = ground.evaluate(first)
+        at_second = ground.evaluate(second)
+        for divisor_name, divisor, divisor_used, l_first, l_second in divisors:
             if ticking:
                 pending += 1
                 if pending >= CHECK_STRIDE:
@@ -320,18 +350,16 @@ def _refine_block_definitions(registry: BlockRegistry, divide_out_all) -> int:
             if divisor_name == name:
                 continue
             # Exact divisibility over Z needs every divisor variable to
-            # appear in the dividend (a product cannot erase a variable)
-            # and cannot raise the total degree — reject without dividing.
-            if divisor.total_degree() > ground_degree:
+            # appear in the dividend (a product cannot erase a variable).
+            if not divisor_used <= ground_used:
                 continue
-            if not set(divisor.used_vars()) <= ground_used:
+            # ``l | g`` implies ``l(a) | g(a)``: a point where the values
+            # do not divide proves the division would fail.
+            if (l_first and at_first % l_first) or (
+                l_second and at_second % l_second
+            ):
                 continue
-            if ctx is not None and divisor.vars == ground.vars:
-                reduced, multiplicity = _divide_out_all_packed(
-                    ground, divisor, ctx
-                )
-            else:
-                reduced, multiplicity = divide_out_all(ground, divisor)
+            reduced, multiplicity = divide_out_all(ground, divisor)
             if multiplicity == 0:
                 continue
             new_vars = tuple(dict.fromkeys(reduced.vars + (divisor_name,)))

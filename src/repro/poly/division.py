@@ -124,7 +124,10 @@ def _packed_divmod_core(
     """
     heap = list(work)
     heapq.heapify(heap)
-    divides = ctx.divides
+    # ctx.divides(lead, w), inlined: this test runs once per popped term.
+    guards = ctx.guards
+    lowmask = ctx.lowmask
+    lead_low = lead & lowmask
     capshift = ctx.capshift
     quotient: dict[int, int] = {}
     remainder: dict[int, int] = {}
@@ -136,7 +139,9 @@ def _packed_divmod_core(
             continue
         w_coeff = work.pop(w)
         heapq.heappop(heap)
-        if divides(lead, w) and w_coeff % lead_coeff == 0:
+        if (((w & lowmask) | guards) - lead_low) & guards == guards and (
+            w_coeff % lead_coeff == 0
+        ):
             q = w - lead + capshift
             q_coeff = w_coeff // lead_coeff
             quotient[q] = quotient.get(q, 0) + q_coeff
@@ -165,8 +170,7 @@ def _packed_lead_rest(
     The leading term cancels exactly by construction in every reduction
     step; only the rest of the divisor needs the explicit subtraction
     loop.  Both the packed form and this split of it are memoized on the
-    divisor instance, so the candidate loops that probe one divisor pool
-    pay for packing once.
+    divisor instance.
     """
     return packed_form(divisor, ctx).lead_rest()
 
@@ -312,26 +316,9 @@ def divide_out_all(
             current = quotient
             count += 1
         return current, count
-    reduced, count = _divide_out_all_packed(unified, divisor_u, ctx)
-    if count == 0:
-        return dividend, 0
-    return reduced, count
-
-
-def _divide_out_all_packed(
-    unified: Polynomial, divisor: Polynomial, ctx: PackedContext
-) -> Tuple[Polynomial, int]:
-    """The packed multiplicity loop over pre-unified operands.
-
-    Packs both operands once (memoized) and keeps the running quotient
-    packed between rounds — the tuple path unpacks and re-packs per
-    round.  Callers that probe one dividend against a whole divisor
-    pool (block refinement) use this directly with a hoisted context;
-    the operands must already share one variable tuple.  Returns
-    ``(unified, 0)`` when the divisor never divides.
-    """
-    divisor_degree = divisor.total_degree()
-    lead, lead_coeff, rest = _packed_lead_rest(divisor, ctx)
+    # Packed multiplicity loop: the running quotient stays packed between
+    # rounds instead of being unpacked and re-packed per round.
+    lead, lead_coeff, rest = _packed_lead_rest(divisor_u, ctx)
     divides = ctx.divides
     current_map = packed_form(unified, ctx).term_map()
     count = 0
@@ -351,7 +338,7 @@ def _divide_out_all_packed(
         current_map = quotient
         count += 1
     if count == 0:
-        return unified, 0
+        return dividend, 0
     unpack = ctx.unpack
     reduced = Polynomial._raw(
         unified.vars, {unpack(p): c for p, c in current_map.items() if c}

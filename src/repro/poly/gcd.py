@@ -133,6 +133,11 @@ def _gcd_heuristic(a: Polynomial, b: Polynomial) -> Polynomial | None:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """GCD of two integer polynomials (positive leading coefficient)."""
+    # Lazy import: core depends on poly.  Square-free factorization
+    # recurses through thousands of GCDs, so each one is a budget step.
+    from repro.core.budget import current_deadline
+
+    current_deadline().tick(site="poly/gcd")
     a, b = Polynomial.unify(a, b)
     if a.is_zero:
         return _normalize_sign(b)

@@ -59,6 +59,10 @@ _MAX_PACKED_BITS = 1024
 #: it on.
 _FALSY = {"0", "false", "off", "no", "none", "disabled"}
 
+#: The environment's decision, read once at import: ``REPRO_PACKED``
+#: must be set before the process starts.
+_ENV_ENABLED = os.environ.get("REPRO_PACKED", "").strip().lower() not in _FALSY
+
 #: Programmatic override (tests / harnesses): ``True``/``False`` force
 #: the decision, ``None`` defers to the environment.
 _FORCED: bool | None = None
@@ -69,12 +73,13 @@ def packed_enabled() -> bool:
 
     ``REPRO_PACKED=0`` (or any falsy spelling) forces every consumer
     onto the reference tuple implementation — the escape hatch CI's
-    fault-smoke job exercises.  Checked once per outer operation, never
-    per term, so the environment read stays off the hot path.
+    fault-smoke job exercises.  The variable is read once, when this
+    module is imported; :func:`set_packed_enabled` is the runtime
+    override.
     """
     if _FORCED is not None:
         return _FORCED
-    return os.environ.get("REPRO_PACKED", "").strip().lower() not in _FALSY
+    return _ENV_ENABLED
 
 
 def set_packed_enabled(value: bool | None) -> None:
@@ -100,11 +105,11 @@ class PackedContext:
     _CACHE_MAX = 512
 
     #: ``for_degrees`` result memo, keyed ``(nvars, summed degree bound)``.
-    #: The candidate-division loops size a context per (dividend, divisor)
-    #: pair — hundreds of thousands of calls that hit a handful of
-    #: shapes, so the sizing arithmetic and the LRU probe are skipped on
-    #: repeats.  Values may be ``None`` (doesn't fit).  Reads are lock-free
-    #: (CPython dict reads are atomic); writes share ``_cache_lock``.
+    #: Division and the CSE kernels size a context per operation — tens
+    #: of thousands of calls that hit a handful of shapes, so the sizing
+    #: arithmetic and the LRU probe are skipped on repeats.  Values may
+    #: be ``None`` (doesn't fit).  Reads are lock-free (CPython dict
+    #: reads are atomic); writes share ``_cache_lock``.
     #: Derived data only — wholesale clearing just re-derives a few keys.
     _sized: "dict[tuple[int, int], PackedContext | None]" = {}
     _SIZED_MAX = 4096
@@ -357,9 +362,9 @@ class PackedPoly:
     def lead_rest(self) -> tuple[int, int, list[tuple[int, int]]]:
         """(lead key, lead coeff, non-leading items) — the division view.
 
-        Memoized: the candidate loops reduce by the same divisor
-        thousands of times, and this instance is itself shared through
-        the :func:`packed_form` memo.
+        Memoized: a multiplicity loop reduces by the same divisor
+        repeatedly, and this instance is itself shared through the
+        :func:`packed_form` memo.
         """
         lr = self._lr
         if lr is None:
@@ -382,10 +387,9 @@ class PackedPoly:
 def packed_form(poly, ctx: PackedContext) -> PackedPoly:
     """Memoized :class:`PackedPoly` of a polynomial under a context.
 
-    The division/CSE hot paths pack the same divisor and dividend
-    thousands of times (the candidate loops probe one ground polynomial
-    against a whole divisor pool); the packing is cached on the
-    polynomial instance, keyed by the context's shape.  ``poly.vars``
+    The division and CSE hot paths meet the same polynomial instances
+    repeatedly; the packing is cached on the polynomial instance, keyed
+    by the context's shape.  ``poly.vars``
     must align with ``ctx.nvars`` and every term must fit — callers
     size the context first (:meth:`PackedContext.for_degrees`).
     """

@@ -57,7 +57,7 @@ def _var_union(a: tuple, b: tuple) -> tuple:
 class Polynomial:
     """An immutable sparse multivariate polynomial over the integers."""
 
-    __slots__ = ("_vars", "_terms", "_hash", "_used", "_tdeg", "_wv", "_pk")
+    __slots__ = ("_vars", "_terms", "_hash", "_used", "_tdeg", "_pk")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Coeff]):
         """Build a polynomial from a term mapping.
@@ -87,7 +87,6 @@ class Polynomial:
         self._hash: int | None = None
         self._used: Tuple[str, ...] | None = None
         self._tdeg: int | None = None
-        self._wv: dict | None = None
         self._pk: dict | None = None
 
     # ------------------------------------------------------------------
@@ -109,7 +108,6 @@ class Polynomial:
         self._hash = None
         self._used = None
         self._tdeg = None
-        self._wv = None
         self._pk = None
         return self
 
@@ -280,16 +278,6 @@ class Polynomial:
         new_vars = tuple(variables)
         if new_vars == self._vars:
             return self
-        # Per-instance memo: the division and unification hot paths align
-        # the same divisor/operand onto the same variable tuple thousands
-        # of times (immutability makes sharing the result safe).
-        cache = self._wv
-        if cache is None:
-            cache = self._wv = {}
-        else:
-            hit = cache.get(new_vars)
-            if hit is not None:
-                return hit
         index_of = {v: i for i, v in enumerate(new_vars)}
         positions = []
         for i, v in enumerate(self._vars):
@@ -308,9 +296,7 @@ class Polynomial:
                 out[new_i] = exps[old_i]
             key = tuple(out)
             new_terms[key] = new_terms.get(key, 0) + coeff
-        result = Polynomial._raw(new_vars, new_terms)
-        cache[new_vars] = result
-        return result
+        return Polynomial._raw(new_vars, new_terms)
 
     def trim(self) -> "Polynomial":
         """Drop variables that do not appear (preserving their relative order)."""
@@ -476,8 +462,8 @@ class Polynomial:
 
     def __getstate__(self):
         # Pickle only the mathematical content: the per-instance memo
-        # slots (_wv alignments, _pk packed forms) are process-local
-        # caches and would bloat every engine job/result payload.
+        # slot (_pk packed forms) is a process-local cache and would
+        # bloat every engine job/result payload.
         return self._vars, self._terms
 
     def __setstate__(self, state) -> None:
@@ -485,7 +471,6 @@ class Polynomial:
         self._hash = None
         self._used = None
         self._tdeg = None
-        self._wv = None
         self._pk = None
 
     # ------------------------------------------------------------------

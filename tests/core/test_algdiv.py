@@ -6,8 +6,12 @@ from repro.core import (
     division_candidates,
     refine_block_definitions,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cse import expand_blocks
-from repro.poly import Polynomial, parse_polynomial as P
+from repro.poly import Polynomial, divide_out_all, parse_polynomial as P
+from repro.poly.packed import set_packed_enabled
 
 
 class TestDivideByBlock:
@@ -77,3 +81,121 @@ class TestRefineBlockDefinitions:
         refine_block_definitions(registry)
         for name in registry.defs:
             assert registry.expand(Polynomial.variable(name)) == registry.ground[name]
+
+
+def _exact(poly: Polynomial) -> tuple:
+    """Variable order and term order included: the byte-identity view."""
+    return poly.vars, tuple(poly.terms.items())
+
+
+_VARS = ("x", "y", "z")
+
+#: Linear blocks, non-primitive ones included (content 2 or 3).
+_linear = st.tuples(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2)
+).filter(lambda c: any(c[:3])).map(
+    lambda c: c[0] * P("x") + c[1] * P("y") + c[2] * P("z") + c[3]
+)
+
+_monomial = st.tuples(
+    st.integers(-4, 4).filter(bool), st.integers(0, 2), st.integers(0, 2),
+    st.integers(0, 1),
+).map(lambda t: t[0] * P("x") ** t[1] * P("y") ** t[2] * P("z") ** t[3])
+
+_cofactor = st.lists(_monomial, min_size=1, max_size=3).map(sum)
+
+
+@st.composite
+def _registries(draw):
+    """Linear blocks plus grounds that are products of them."""
+    registry = BlockRegistry(_VARS)
+    blocks = draw(st.lists(_linear, min_size=1, max_size=4))
+    blocks.append(P("2*x + 2*y"))
+    for block in blocks:
+        registry.register(block)
+    for _ in range(draw(st.integers(1, 4))):
+        ground = draw(_cofactor)
+        for _ in range(draw(st.integers(1, 3))):
+            ground = ground * draw(st.sampled_from(blocks))
+        if draw(st.booleans()):
+            ground = ground + draw(_monomial)
+        if ground.total_degree() >= 2:
+            registry.register(ground)
+    return registry
+
+
+def _reference_refine(registry: BlockRegistry) -> int:
+    """refine_block_definitions without any screen: divide every pair."""
+    rewritten = 0
+    for name in list(registry.defs):
+        ground = registry.ground[name]
+        if ground.is_linear:
+            continue
+        best = None
+        for divisor_name, divisor in registry.linear_blocks():
+            if divisor_name == name:
+                continue
+            reduced, multiplicity = divide_out_all(ground, divisor)
+            if multiplicity == 0:
+                continue
+            new_vars = tuple(dict.fromkeys(reduced.vars + (divisor_name,)))
+            block_var = Polynomial.variable(divisor_name, new_vars)
+            candidate = reduced.with_vars(new_vars) * block_var ** multiplicity
+            if best is None or len(candidate) < len(best):
+                best = candidate
+        if best is not None and len(best) < len(registry.defs[name]):
+            registry.rewrite_definition(name, best)
+            rewritten += 1
+    return rewritten
+
+
+class TestRefineScreenDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(_registries())
+    def test_matches_unscreened_reference(self, registry):
+        reference = registry.copy()
+        expected = _reference_refine(reference)
+        assert refine_block_definitions(registry) == expected
+        assert list(registry.defs) == list(reference.defs)
+        for name, definition in registry.defs.items():
+            assert _exact(definition) == _exact(reference.defs[name])
+
+    def test_non_primitive_divisor(self):
+        registry = BlockRegistry(("x", "y"))
+        linear, _ = registry.register(P("2*x + 2*y"))
+        square, _ = registry.register(P("4*x^2 + 8*x*y + 4*y^2"))
+        assert refine_block_definitions(registry) == 1
+        assert registry.defs[square] == Polynomial.variable(linear) ** 2
+
+
+#: Dividends over the input variables plus a block variable no divisor
+#: uses, as the CCE representations carry.
+_block_monomial = st.tuples(_monomial, st.integers(0, 2)).map(
+    lambda t: t[0] * P("_b9") ** t[1]
+)
+
+
+@st.composite
+def _division_inputs(draw):
+    registry = BlockRegistry(_VARS)
+    for block in draw(st.lists(_linear, min_size=1, max_size=6)):
+        registry.register(block)
+    poly = sum(draw(st.lists(_block_monomial, min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 2))):
+        poly = poly * draw(_linear)
+    return poly, registry
+
+
+class TestDivisionCandidatesPackedParity:
+    @settings(max_examples=80, deadline=None)
+    @given(_division_inputs(), st.sampled_from([2, 6]))
+    def test_packed_matches_tuple(self, inputs, max_candidates):
+        poly, registry = inputs
+        try:
+            set_packed_enabled(True)
+            packed = division_candidates(poly, registry, max_candidates)
+            set_packed_enabled(False)
+            tuple_path = division_candidates(poly, registry, max_candidates)
+        finally:
+            set_packed_enabled(None)
+        assert [_exact(c) for c in packed] == [_exact(c) for c in tuple_path]

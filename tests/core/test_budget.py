@@ -16,7 +16,7 @@ from repro.core.budget import (
     deadline_for,
     use_deadline,
 )
-from repro.suite import get_system
+from repro.suite import get_system, random_system
 from repro.verify import check_systems
 
 
@@ -166,6 +166,24 @@ class TestGracefulDegradation:
         self._assert_valid(system, result)
         # The whole flow is skipped: this must be far cheaper than synthesis.
         assert elapsed < 5.0
+
+    def test_job_budget_stops_factoring(self):
+        # Six variables, degree 3: building the factored representation
+        # runs Kronecker factoring over GF(p) (distinct-degree splitting
+        # of a high-degree image), which has to honour the job budget.
+        system = random_system(
+            1, num_polys=4, variables=("a", "b", "c", "d", "e", "f"),
+            width=8, max_terms=12,
+        )
+        start = time.perf_counter()
+        result = synthesize(
+            list(system.polys), system.signature,
+            budget=Budget(job_seconds=1.0),
+        )
+        elapsed = time.perf_counter() - start
+        assert elapsed < 4.0
+        assert any(d.phase == "initial" for d in result.degradations)
+        self._assert_valid(system, result)
 
     def test_degradations_appear_in_summary(self):
         system = get_system("Quad")
