@@ -29,9 +29,9 @@ from __future__ import annotations
 import random
 
 from repro.obs import current_tracer
-from repro.poly import Polynomial, divide_out_all, divmod_poly
+from repro.poly import Polynomial, divide_out_all
 from repro.poly.division import _packed_divmod_core
-from repro.poly.packed import PackedContext, packed_enabled, packed_form
+from repro.poly.packed import PackedContext, packed_form
 
 from .blocks import BlockRegistry
 from .budget import CHECK_STRIDE, current_deadline
@@ -69,32 +69,18 @@ def divide_by_block(
             divisor_ground = divisor_ground.with_vars(poly.vars)
         else:
             poly, divisor_ground = Polynomial.unify(poly, divisor_ground)
-    ctx = None
-    if packed_enabled() and not poly.is_zero:
-        ctx = PackedContext.for_degrees(
-            len(poly.vars),
-            max(poly.total_degree(), divisor_ground.total_degree()),
-        )
-    if ctx is not None:
-        levels = _packed_division_levels(
-            packed_form(poly, ctx).term_map(),
-            packed_form(divisor_ground, ctx).lead_rest(),
-            max_depth,
-            ctx,
-        )
-        if levels is None:
-            return None
-        return _assemble_packed_levels(poly, levels, block_name, ctx)
-    quotient, remainder = divmod_poly(poly, divisor_ground)
-    if quotient.is_zero:
+    ctx = PackedContext.for_degrees(
+        len(poly.vars), max(poly.total_degree(), divisor_ground.total_degree())
+    )
+    levels = _packed_division_levels(
+        packed_form(poly, ctx).term_map(),
+        packed_form(divisor_ground, ctx).lead_rest(),
+        max_depth,
+        ctx,
+    )
+    if levels is None:
         return None
-    inner = quotient
-    if max_depth > 1 and quotient.total_degree() >= divisor_ground.total_degree():
-        deeper = divide_by_block(quotient, divisor_ground, block_name, max_depth - 1)
-        if deeper is not None:
-            inner = deeper
-    block_var = Polynomial.variable(block_name)
-    return block_var * inner + remainder
+    return _assemble_packed_levels(poly, levels, block_name, ctx)
 
 
 def _pack_linear(
@@ -176,12 +162,12 @@ def _assemble_packed_levels(
 ) -> Polynomial:
     """Materialize a division chain as ``block^(m+1)*q_m + sum block^k*r_k``.
 
-    Term order of the result reproduces the tuple path exactly: the
-    nested ``block * inner + remainder`` construction yields the deepest
-    quotient's terms first (highest block power), then each level's
-    remainder in descending block power, every group in its reduction
-    order.  The variable tuple is the sorted union the tuple path's
-    unify would produce.
+    Term order of the result is that of the nested polynomial
+    construction ``block * inner + remainder``: the deepest quotient's
+    terms first (highest block power), then each level's remainder in
+    descending block power, every group in its reduction order.  The
+    variable tuple is the sorted union that construction's unify would
+    produce.
     """
     union = tuple(sorted(set(poly.vars) | {block_name}))
     block_at = union.index(block_name)
@@ -215,31 +201,26 @@ def division_candidates(
 
     Tries every registered linear block; candidates are ranked by how much
     structure the division removed (fewer remaining ground terms first)
-    and capped at ``max_candidates``.  In packed mode the dividend is
-    packed once, every divisor is packed into its variable frame, and
-    losing chains are never materialized: the ranking key (the assembled
+    and capped at ``max_candidates``.  The dividend is packed once,
+    every divisor is packed into its variable frame, and losing chains
+    are never materialized: the ranking key (the assembled
     term count) is read off the packed level dicts, and only the
     ``max_candidates`` survivors are built into polynomials after the
     sort.  A candidate always carries a positive power of its block
     variable, which the dividend does not use, so no candidate can be
     the dividend itself.
     """
-    candidates: list[tuple[int, object]] = []
+    candidates: list[tuple[int, Levels, str]] = []
     poly_vars = set(ground_poly.used_vars())
-    ctx = None
-    if packed_enabled() and not ground_poly.is_zero:
-        # A divisor's degree is at most 1 and an admitted divisor's
-        # variables all occur in the dividend, so this is the context
-        # every (dividend, divisor) pair would size on its own.
-        ctx = PackedContext.for_degrees(
-            len(ground_poly.vars), ground_poly.total_degree()
-        )
-    if ctx is not None:
-        work_map = packed_form(ground_poly, ctx).term_map()
-        unit_of: dict[str | None, int] = {
-            v: ctx.unit(i) for i, v in enumerate(ground_poly.vars)
-        }
-        unit_of[None] = ctx.capshift
+    # A divisor's degree is at most 1 and an admitted divisor's variables
+    # all occur in the dividend, so this is the context every (dividend,
+    # divisor) pair would size on its own.
+    ctx = PackedContext.for_degrees(len(ground_poly.vars), ground_poly.total_degree())
+    work_map = packed_form(ground_poly, ctx).term_map()
+    unit_of: dict[str | None, int] = {
+        v: ctx.unit(i) for i, v in enumerate(ground_poly.vars)
+    }
+    unit_of[None] = ctx.capshift
     deadline = current_deadline()
     ticking = deadline.enabled
     pending = 0
@@ -258,31 +239,21 @@ def division_candidates(
             if not poly_vars.issuperset(divisor.used_vars()):
                 continue  # the divisor mentions variables the polynomial lacks
             divisors += 1
-            if ctx is not None:
-                levels = _packed_division_levels(
-                    work_map, _pack_linear(divisor, unit_of), 8, ctx
-                )
-                if levels is not None:
-                    candidates.append((_level_term_count(levels), (levels, name)))
-                continue
-            rewritten = divide_by_block(ground_poly, divisor, name)
-            if rewritten is None:
-                continue
-            # Rank: strongly prefer representations with fewer terms (more of
-            # the polynomial folded into the block structure).
-            candidates.append((len(rewritten), rewritten))
+            levels = _packed_division_levels(
+                work_map, _pack_linear(divisor, unit_of), 8, ctx
+            )
+            if levels is not None:
+                # Rank: strongly prefer representations with fewer terms
+                # (more of the polynomial folded into the block structure).
+                candidates.append((_level_term_count(levels), levels, name))
         if ticking and pending:
             deadline.tick(pending, site="algdiv/divide")
         span.count(divisors=divisors, candidates=len(candidates))
     candidates.sort(key=lambda item: item[0])
-    chosen: list[Polynomial] = []
-    for _, entry in candidates[:max_candidates]:
-        if isinstance(entry, Polynomial):
-            chosen.append(entry)
-        else:
-            levels, name = entry
-            chosen.append(_assemble_packed_levels(ground_poly, levels, name, ctx))
-    return chosen
+    return [
+        _assemble_packed_levels(ground_poly, levels, name, ctx)
+        for _, levels, name in candidates[:max_candidates]
+    ]
 
 
 def refine_block_definitions(registry: BlockRegistry) -> int:

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 
 from repro.poly import Polynomial
 from repro.poly.monomial import Exponents, mono_literal_count, mono_mul
-from repro.poly.packed import PackedContext, packed_enabled, packed_form
 
 from .kernels import all_kernels
 
@@ -141,66 +140,23 @@ class _Extractor:
 
     # -- candidate generation ------------------------------------------
 
-    def _packed_context(self) -> PackedContext | None:
-        """Per-round packed context, sized for co-kernel x term products.
-
-        CSE probes ``mono_mul(cokernel, body_term)`` against the current
-        polynomials; both factors are bounded by the system's maximum
-        total degree, so the context is sized for the *sum* of two such
-        bounds (the product-degree rule — see ``repro.poly.packed``).
-        ``None`` selects the reference tuple path everywhere.
-        """
-        if not packed_enabled():
-            return None
-        degree = 0
-        for poly in self.polys:
-            if not poly.is_zero:
-                d = poly.total_degree()
-                if d > degree:
-                    degree = d
-        return PackedContext.for_degrees(len(self.vars), degree, degree)
-
-    def _kernel_rows(
-        self, ctx: PackedContext | None
-    ) -> list[tuple]:
-        """(poly index, co-kernel, kernel, term-set, + packed trio) rows.
+    def _kernel_rows(self) -> list[tuple]:
+        """(poly index, co-kernel, kernel, term-set) rows.
 
         The frozenset of ``(exponents, coeff)`` items rides along so the
-        candidate-intersection step runs as C-speed set operations; when
-        a packed context is available each row additionally carries its
-        packed co-kernel, ordered packed term items, and their frozenset
-        (``None`` placeholders otherwise) for the occurrence-matching and
-        gain loops, which probe by integer keys instead of tuples.
+        candidate-intersection and occurrence-matching steps run as
+        C-speed set operations.
         """
-        rows = []
-        if ctx is None:
-            for index, poly in enumerate(self.polys):
-                for entry in all_kernels(poly):
-                    rows.append((
-                        index,
-                        entry.cokernel,
-                        entry.kernel,
-                        frozenset(entry.kernel.terms.items()),
-                        None,
-                        None,
-                        None,
-                    ))
-            return rows
-        pack = ctx.pack
-        for index, poly in enumerate(self.polys):
-            for entry in all_kernels(poly):
-                packed = packed_form(entry.kernel, ctx)
-                pitems = list(zip(packed.keys, packed.coeffs))
-                rows.append((
-                    index,
-                    entry.cokernel,
-                    entry.kernel,
-                    frozenset(entry.kernel.terms.items()),
-                    pack(entry.cokernel),
-                    pitems,
-                    frozenset(pitems),
-                ))
-        return rows
+        return [
+            (
+                index,
+                entry.cokernel,
+                entry.kernel,
+                frozenset(entry.kernel.terms.items()),
+            )
+            for index, poly in enumerate(self.polys)
+            for entry in all_kernels(poly)
+        ]
 
     def _kernel_candidates(self, rows: list[tuple]) -> list[_KernelCandidate]:
         pool: dict[frozenset, Polynomial] = {}
@@ -215,8 +171,8 @@ class _Extractor:
         # Deduplicate kernels (shifted-copy systems repeat them massively)
         # before the quadratic pairwise-intersection step.
         unique: dict[frozenset, Polynomial] = {}
-        for row in rows:
-            unique.setdefault(row[3], row[2])
+        for _, _, kernel, term_set in rows:
+            unique.setdefault(term_set, kernel)
         for kernel in unique.values():
             add(kernel)
         term_sets = list(unique)
@@ -274,40 +230,12 @@ class _Extractor:
         return [_KernelCandidate(body) for body in pool.values()]
 
     def _rectangle_bodies(self, rows: list[tuple]) -> list[Polynomial]:
-        from .kcm import KcmRow, KernelCubeMatrix, best_rectangles
+        from .kcm import KcmRow, best_rectangles, kcm_from_kernels
 
-        kcm_rows: list[KcmRow] = []
-        columns: list[tuple[Exponents, int]] = []
-        # Keyed by packed (monomial, coeff) when available — column
-        # interning is one dict probe per kernel term, and integer keys
-        # hash far cheaper than nested tuples.  First-appearance order
-        # (which seeds rectangle growth) is representation-independent.
-        column_index: dict[tuple, int] = {}
-        incidence: list[set[int]] = []
-        for row in rows:
-            index, cokernel, kernel = row[0], row[1], row[2]
-            pitems = row[5]
-            kcm_rows.append(KcmRow(index, cokernel))
-            present: set[int] = set()
-            if pitems is not None:
-                for (pkey, coeff), item in zip(pitems, kernel.terms.items()):
-                    cube_key = (pkey, coeff)
-                    where = column_index.get(cube_key)
-                    if where is None:
-                        where = len(columns)
-                        column_index[cube_key] = where
-                        columns.append(item)
-                    present.add(where)
-            else:
-                for cube in kernel.terms.items():
-                    where = column_index.get(cube)
-                    if where is None:
-                        where = len(columns)
-                        column_index[cube] = where
-                        columns.append(cube)
-                    present.add(where)
-            incidence.append(present)
-        kcm = KernelCubeMatrix(self.vars, kcm_rows, columns, incidence)
+        kcm = kcm_from_kernels(
+            self.vars,
+            ((KcmRow(index, cokernel), kernel) for index, cokernel, kernel, _ in rows),
+        )
         bodies = []
         for rectangle in best_rectangles(kcm, limit=6):
             if rectangle.num_columns >= 2:
@@ -397,53 +325,35 @@ class _Extractor:
     # -- kernel candidate matching / application ------------------------
 
     def _kernel_matches(
-        self,
-        candidate: _KernelCandidate,
-        rows: list[tuple],
-        ctx: PackedContext | None = None,
-    ) -> list[tuple]:
-        """All (poly index, co-kernel, sign, packed co-kernel) occurrences.
-
-        The subset tests against every row dominate the greedy loop; with
-        a packed context both sides are frozensets of ``(int, coeff)``
-        pairs, so the C-level containment probes hash machine integers
-        instead of exponent tuples.  The decisions are identical (packing
-        is injective over the sized domain).
-        """
-        matches: list[tuple] = []
+        self, candidate: _KernelCandidate, rows: list[tuple]
+    ) -> list[tuple[int, Exponents, int]]:
+        """All (poly index, co-kernel, sign) occurrences of a candidate."""
+        matches: list[tuple[int, Exponents, int]] = []
         seen: set[tuple[int, Exponents, int]] = set()
         body_items = candidate.body.terms.items()
-        if ctx is not None:
-            pack = ctx.pack
-            body_set = frozenset((pack(e), c) for e, c in body_items)
-            negated = frozenset((p, -c) for p, c in body_set)
-            row_set_at = 6
-        else:
-            body_set = frozenset(body_items)
-            negated = frozenset((e, -c) for e, c in body_items)
-            row_set_at = 3
-        for row in rows:
-            term_set = row[row_set_at]
+        body_set = frozenset(body_items)
+        negated = frozenset((e, -c) for e, c in body_items)
+        for index, cokernel, _, term_set in rows:
             if body_set <= term_set:
-                key = (row[0], row[1], 1)
+                key = (index, cokernel, 1)
             elif negated <= term_set:
-                key = (row[0], row[1], -1)
+                key = (index, cokernel, -1)
             else:
                 continue
             if key not in seen:
                 seen.add(key)
-                matches.append(key + (row[4],))
+                matches.append(key)
         return matches
 
     def _apply_kernel(
         self,
         candidate: _KernelCandidate,
-        matches: list[tuple],
+        matches: list[tuple[int, Exponents, int]],
     ) -> int:
         """Rewrite occurrences; returns how many were actually applied."""
         used: dict[int, set[Exponents]] = {}
         planned: list[tuple[int, Exponents, int, list[Exponents]]] = []
-        for index, cokernel, sign, _ in matches:
+        for index, cokernel, sign in matches:
             poly = self.polys[index]
             covered = []
             ok = True
@@ -480,9 +390,7 @@ class _Extractor:
     def _kernel_gain(
         self,
         candidate: _KernelCandidate,
-        matches: list[tuple],
-        ctx: PackedContext | None = None,
-        pmaps: list[dict[int, int]] | None = None,
+        matches: list[tuple[int, Exponents, int]],
     ) -> int:
         """Exact weighted operators saved by extracting the candidate.
 
@@ -490,42 +398,10 @@ class _Extractor:
         disappear, replaced by a single ``cokernel * block`` term; the
         block body itself is paid once.  Overlapping occurrences make this
         an optimistic bound — the application step re-checks every term.
-
-        With a packed context the per-term probe is one int add plus a
-        packed-dict lookup, and the literal count is read off the packed
-        degree field (``mono_literal_count == total degree``).
         """
         body = candidate.body.terms
         saved = 0
-        if ctx is not None:
-            pack = ctx.pack
-            capshift = ctx.capshift
-            degree_of = ctx.degree_of
-            pbody = [pack(e) for e in body]
-            for index, _, sign, cok_p in matches:
-                pmap = pmaps[index]
-                occurrence = 0
-                complete = True
-                for pe in pbody:
-                    target = cok_p + pe - capshift
-                    coeff = pmap.get(target)
-                    if coeff is None:
-                        complete = False
-                        break
-                    literals = degree_of(target)
-                    if literals > 1:
-                        occurrence += (literals - 1) * _MUL_WEIGHT
-                    if literals and coeff != 1 and coeff != -1:
-                        occurrence += _CMUL_WEIGHT
-                if not complete:
-                    continue
-                occurrence += (len(body) - 1) * _ADD_WEIGHT
-                # _term_weight(sign, cokernel * block): |sign| == 1, and the
-                # block variable adds one literal — deg(cokernel) muls.
-                occurrence -= degree_of(cok_p) * _MUL_WEIGHT
-                saved += occurrence
-            return saved - _poly_weight(candidate.body)
-        for index, cokernel, sign, _ in matches:
+        for index, cokernel, sign in matches:
             poly = self.polys[index]
             occurrence = 0
             complete = True
@@ -671,22 +547,16 @@ class _Extractor:
         emitting = events.enabled  # hoisted: the greedy loop is hot
         while self.rounds < self.max_rounds:
             deadline.tick(site="cse/round")
-            ctx = self._packed_context() if self.enable_kernels else None
-            rows = self._kernel_rows(ctx) if self.enable_kernels else []
+            rows = self._kernel_rows() if self.enable_kernels else []
             best_gain = 0
             best_action = None
 
             if self.enable_kernels:
-                pmaps = None
-                if ctx is not None:
-                    pmaps = [
-                        packed_form(poly, ctx).term_map() for poly in self.polys
-                    ]
                 for candidate in self._kernel_candidates(rows):
-                    matches = self._kernel_matches(candidate, rows, ctx)
+                    matches = self._kernel_matches(candidate, rows)
                     if len(matches) < 2:
                         continue
-                    gain = self._kernel_gain(candidate, matches, ctx, pmaps)
+                    gain = self._kernel_gain(candidate, matches)
                     if gain > best_gain:
                         best_gain = gain
                         best_action = ("kernel", candidate, matches)

@@ -24,11 +24,10 @@ intersection misses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.poly import Polynomial
 from repro.poly.monomial import Exponents, mono_literal_count
-from repro.poly.packed import PackedContext, packed_enabled, packed_form
 
 from .kernels import all_kernels
 
@@ -110,47 +109,38 @@ def build_kcm(polys: Sequence[Polynomial]) -> KernelCubeMatrix:
     """Construct the KCM of a polynomial system."""
     unified = Polynomial.unify_all(list(polys))
     variables = unified[0].vars if unified else ()
+    return kcm_from_kernels(
+        variables,
+        (
+            (KcmRow(poly_index, entry.cokernel), entry.kernel)
+            for poly_index, poly in enumerate(unified)
+            for entry in all_kernels(poly)
+        ),
+    )
+
+
+def kcm_from_kernels(
+    variables: tuple[str, ...], entries: Iterable[tuple[KcmRow, Polynomial]]
+) -> KernelCubeMatrix:
+    """The KCM of already-enumerated ``(row, kernel)`` pairs, in order.
+
+    Columns are numbered in order of first appearance, which seeds
+    rectangle growth, so the row order fixes the matrix.
+    """
     rows: list[KcmRow] = []
-    kernels: list[Polynomial] = []
-    # Column interning probes once per kernel term; with a packed context
-    # the dict is keyed by (packed monomial, coeff) integers instead of
-    # nested tuples.  Column identity and first-appearance order (hence
-    # indices) are representation-independent, so the matrix is identical.
-    ctx: PackedContext | None = None
-    if unified and packed_enabled():
-        degree = max(
-            (p.total_degree() for p in unified if not p.is_zero), default=0
-        )
-        ctx = PackedContext.for_degrees(len(variables), degree)
-    column_index: dict[tuple, int] = {}
+    column_index: dict[Cube, int] = {}
     columns: list[Cube] = []
     incidence: list[set[int]] = []
-
-    for poly_index, poly in enumerate(unified):
-        for entry in all_kernels(poly):
-            rows.append(KcmRow(poly_index, entry.cokernel))
-            kernels.append(entry.kernel)
-
-    for kernel in kernels:
+    for row, kernel in entries:
+        rows.append(row)
         present: set[int] = set()
-        if ctx is not None:
-            packed = packed_form(kernel, ctx)
-            for pkey, item in zip(packed.keys, kernel.terms.items()):
-                cube_key = (pkey, item[1])
-                index = column_index.get(cube_key)
-                if index is None:
-                    index = len(columns)
-                    column_index[cube_key] = index
-                    columns.append(item)
-                present.add(index)
-        else:
-            for cube in kernel.terms.items():
-                index = column_index.get(cube)
-                if index is None:
-                    index = len(columns)
-                    column_index[cube] = index
-                    columns.append(cube)
-                present.add(index)
+        for cube in kernel.terms.items():
+            index = column_index.get(cube)
+            if index is None:
+                index = len(columns)
+                column_index[cube] = index
+                columns.append(cube)
+            present.add(index)
         incidence.append(present)
     return KernelCubeMatrix(variables, rows, columns, incidence)
 

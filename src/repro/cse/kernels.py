@@ -19,7 +19,6 @@ from typing import Iterator
 
 from repro.poly import Polynomial
 from repro.poly.monomial import Exponents, mono_gcd_many, mono_is_one, mono_mul
-from repro.poly.packed import PackedContext, packed_enabled, packed_form
 
 
 @dataclass(frozen=True)
@@ -53,125 +52,17 @@ def _divide_by_cube(poly: Polynomial, cube: Exponents) -> Polynomial:
     )
 
 
-def _iter_kernels_packed(
-    poly: Polynomial, ctx: PackedContext
-) -> Iterator[KernelEntry]:
-    """Packed mirror of the tuple recursion in :func:`iter_kernels`.
-
-    Works over parallel ``(packed key, coeff)`` lists so literal/cube
-    division is integer subtraction instead of tuple rebuilds.  The
-    enumeration order, pruning decisions, and emitted term-dict insertion
-    orders are reproduced exactly (downstream greedy tie-breaks observe
-    them), so the two paths yield identical sequences.
-    """
-    nvars = ctx.nvars
-    width = ctx.width
-    div = ctx.div
-    mul = ctx.mul
-    unpack = ctx.unpack
-    lowmask = ctx.lowmask
-    units = [ctx.unit(j) for j in range(nvars)]
-    field_mask = (1 << width) - 1
-
-    seen: set[tuple[int, frozenset]] = set()
-
-    def emit(cok_p: int, keys: list[int], coeffs: list[int]) -> Iterator[KernelEntry]:
-        key = (cok_p, frozenset(zip(keys, coeffs)))
-        if key not in seen:
-            seen.add(key)
-            terms = {unpack(k): c for k, c in zip(keys, coeffs)}
-            yield KernelEntry(unpack(cok_p), Polynomial._raw(poly.vars, terms))
-
-    def common_cube_bits(keys: list[int]) -> int:
-        """Field-wise min of the exponent fields (degree field stripped)."""
-        it = iter(keys)
-        acc = next(it) & lowmask
-        gcd = ctx.exps_gcd
-        for k in it:
-            if not acc:
-                break
-            acc = gcd(acc, k & lowmask)
-        return acc
-
-    def recurse(
-        keys: list[int], coeffs: list[int], cok_p: int, min_index: int
-    ) -> Iterator[KernelEntry]:
-        for j in range(min_index, nvars):
-            shift = j * width
-            count = 0
-            for k in keys:
-                if (k >> shift) & field_mask:
-                    count += 1
-                    if count == 2:
-                        break
-            if count < 2:
-                continue
-            unit_j = units[j]
-            dkeys: list[int] = []
-            dcoeffs: list[int] = []
-            for k, c in zip(keys, coeffs):
-                if (k >> shift) & field_mask:
-                    dkeys.append(div(k, unit_j))
-                    dcoeffs.append(c)
-            cube_bits = common_cube_bits(dkeys)
-            if cube_bits & ((1 << shift) - 1):
-                # A smaller literal divides the quotient: this kernel will
-                # be found (or was) through that literal instead.
-                continue
-            if cube_bits:
-                cube_p = ctx.with_degree_field(cube_bits)
-                kkeys = [div(k, cube_p) for k in dkeys]
-            else:
-                cube_p = None
-                kkeys = dkeys
-            if len(kkeys) < 2:
-                continue
-            step = mul(cok_p, unit_j)
-            if cube_p is not None:
-                step = mul(step, cube_p)
-            yield from emit(step, kkeys, dcoeffs)
-            yield from recurse(kkeys, dcoeffs, step, j)
-
-    packed = packed_form(poly, ctx)
-    keys = list(packed.keys)
-    coeffs = list(packed.coeffs)
-    top_bits = common_cube_bits(keys)
-    if top_bits:
-        top_p = ctx.with_degree_field(top_bits)
-        keys = [div(k, top_p) for k in keys]
-        top_cok = top_p
-    else:
-        top_cok = ctx.with_degree_field(0)
-    if len(keys) >= 2:
-        yield from emit(top_cok, keys, coeffs)
-    yield from recurse(keys, coeffs, top_cok, 0)
-
-
-def _kernel_context(poly: Polynomial) -> PackedContext | None:
-    """Context for kernel enumeration (division-only: operand bound)."""
-    if not packed_enabled() or poly.is_zero:
-        return None
-    return PackedContext.for_degrees(len(poly.vars), poly.total_degree())
-
-
 def iter_kernels(poly: Polynomial) -> Iterator[KernelEntry]:
     """Enumerate all (co-kernel, kernel) pairs of a polynomial.
 
     Includes the polynomial itself (with co-kernel 1) when it is cube-free
     with at least two terms, per the standard definition.  Duplicate paths
     are pruned with the classical "no smaller literal in the extracted
-    cube" test.  Dispatches to the packed-monomial recursion when a
-    context fits (see ``repro.poly.packed``); the tuple recursion below
-    stays as the reference path and the ``REPRO_PACKED=0`` fallback.
+    cube" test.
     """
     if len(poly) < 2:
         return
-    ctx = _kernel_context(poly)
-    if ctx is not None:
-        yield from _iter_kernels_packed(poly, ctx)
-        return
     nvars = len(poly.vars)
-    unit = (0,) * nvars
 
     seen: set[tuple[Exponents, frozenset]] = set()
 
@@ -206,10 +97,6 @@ def iter_kernels(poly: Polynomial) -> Iterator[KernelEntry]:
     if len(top) >= 2:
         yield from emit(top_cube, top)
     yield from recurse(top, top_cube, 0)
-    if not mono_is_one(top_cube):
-        # Also enumerate kernels of the original alignment (cube-free part
-        # already covered above; nothing else to add).
-        pass
 
 
 #: Content-keyed memo of kernel enumerations.  Keys are the *trimmed*

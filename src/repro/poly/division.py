@@ -21,7 +21,7 @@ from typing import Tuple
 
 from .monomial import mono_div, mono_divides, mono_mul
 from .orderings import OrderKey, grevlex_key, order_key
-from .packed import PackedContext, packed_enabled, packed_form
+from .packed import PackedContext, packed_form
 from .polynomial import Polynomial
 
 
@@ -51,10 +51,9 @@ def _divmod_generic(
 ) -> Tuple[Polynomial, Polynomial]:
     """Reference division loop on exponent tuples (any term order).
 
-    Also the fallback the grevlex entry point uses when the packed fast
-    path is unavailable; both paths build the quotient and remainder
-    dicts in the same (strictly order-descending) insertion sequence, so
-    downstream consumers see byte-identical term order either way.
+    Builds the quotient and remainder dicts in strictly order-descending
+    insertion sequence; the packed grevlex loop reproduces that sequence
+    exactly.
     """
     lead_exps, lead_coeff = divisor.leading_term(key)
     divisor_terms = divisor.terms
@@ -85,23 +84,6 @@ def _divmod_generic(
     return (
         Polynomial._raw(dividend.vars, {e: c for e, c in quotient.items() if c}),
         Polynomial._raw(dividend.vars, remainder),
-    )
-
-
-def _division_context(
-    dividend: Polynomial, divisor: Polynomial
-) -> PackedContext | None:
-    """Packed context for one division, or ``None`` -> tuple fallback.
-
-    Division only shrinks monomials, so the max of the operand degree
-    bounds is sufficient (every intermediate target divides a genuine
-    work-set monomial).
-    """
-    if not packed_enabled():
-        return None
-    return PackedContext.for_degrees(
-        len(dividend.vars),
-        max(dividend.total_degree(), divisor.total_degree()),
     )
 
 
@@ -178,14 +160,16 @@ def _packed_lead_rest(
 def _divmod_grevlex(
     dividend: Polynomial, divisor: Polynomial
 ) -> Tuple[Polynomial, Polynomial]:
-    """Grevlex division: packed fast path with the tuple loop as fallback."""
+    """Grevlex division on packed monomials."""
     dividend, divisor = Polynomial.unify(dividend, divisor)
     if not dividend.terms:
         zero = Polynomial.zero(dividend.vars)
         return zero, zero
-    ctx = _division_context(dividend, divisor)
-    if ctx is None:
-        return _divmod_generic(dividend, divisor, grevlex_key)
+    # Division only shrinks monomials, so the operands' degree bound
+    # covers every intermediate target.
+    ctx = PackedContext.for_degrees(
+        len(dividend.vars), max(dividend.total_degree(), divisor.total_degree())
+    )
     lead, lead_coeff, rest = _packed_lead_rest(divisor, ctx)
     pmap = packed_form(dividend, ctx).term_map()
     # Zero-quotient early-out: the first reduction step always fires on an
@@ -200,7 +184,7 @@ def _divmod_grevlex(
     else:
         # The generic loop emits remainder terms grevlex-descending
         # (ascending packed value); match it so term order stays
-        # byte-identical across the two paths.
+        # byte-identical with the reference.
         unpack = ctx.unpack
         return Polynomial.zero(dividend.vars), Polynomial._raw(
             dividend.vars, {unpack(p): pmap[p] for p in sorted(pmap)}
@@ -220,9 +204,9 @@ def _divmod_grevlex(
 def exact_divide(dividend: Polynomial, divisor: Polynomial) -> Polynomial | None:
     """Return ``dividend / divisor`` when exact, else ``None``.
 
-    Uses lex order, under which exact divisibility over ``Z`` is decided
-    correctly by the division algorithm (any admissible order works for
-    exactness; the quotient is unique either way).
+    Uses grevlex order, under which exact divisibility over ``Z`` is
+    decided correctly by the division algorithm (any admissible order
+    works for exactness; the quotient is unique either way).
     """
     if divisor.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
@@ -305,17 +289,7 @@ def divide_out_all(
     if divisor_degree > dividend.total_degree():
         return dividend, 0
     unified, divisor_u = Polynomial.unify(dividend, divisor)
-    ctx = _division_context(unified, divisor_u)
-    if ctx is None:
-        count = 0
-        current = dividend
-        while not current.is_zero:
-            quotient = exact_divide(current, divisor)
-            if quotient is None:
-                break
-            current = quotient
-            count += 1
-        return current, count
+    ctx = PackedContext.for_degrees(len(unified.vars), unified.total_degree())
     # Packed multiplicity loop: the running quotient stays packed between
     # rounds instead of being unpacked and re-packed per round.
     lead, lead_coeff, rest = _packed_lead_rest(divisor_u, ctx)

@@ -1,4 +1,4 @@
-"""Packed-monomial fast path: one machine integer per monomial.
+"""Packed monomials for grevlex division: one integer per monomial.
 
 The division algorithm's inner loop is dominated by tuple traffic —
 ``mono_mul`` allocates a fresh exponent tuple per divisor term per
@@ -29,63 +29,19 @@ valid dict keys.
 
 The encoding is only valid while every exponent (and the total degree)
 stays below ``2**(width - 1)``.  Division only ever shrinks monomials,
-so sizing a context from the operands' total degrees suffices there;
-CSE *multiplies* monomials (co-kernel times body term), so its contexts
-must be sized from the **product** degree bound — see
-:meth:`PackedContext.for_degrees`, which also applies the overflow
-guard.  Whenever a context cannot be built (or ``REPRO_PACKED=0`` turns
-the fast path off), every consumer falls back to the reference
-exponent-tuple implementation; the two paths produce byte-identical
-results and the differential tests in ``tests/poly`` pin that.
+so a context sized from the operands' total degrees suffices — see
+:meth:`PackedContext.for_degrees`.  Python ints are unbounded, so wide
+variable counts just make longer keys: every grevlex division runs
+here, and ``tests/poly`` pins it against the exponent-tuple reference
+loop in :mod:`repro.poly.division`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Iterable, Tuple
 
 from .monomial import Exponents
-
-#: Hard ceiling on the packed-integer width.  Beyond this the "one
-#: machine integer" premise is gone (CPython big-int limbs dominate) and
-#: the tuple path is no slower — ``for_degrees`` refuses and callers
-#: fall back.
-_MAX_PACKED_BITS = 1024
-
-#: ``REPRO_PACKED`` values that disable the fast path (same falsy
-#: grammar as the observability toggles); unset or anything else keeps
-#: it on.
-_FALSY = {"0", "false", "off", "no", "none", "disabled"}
-
-#: The environment's decision, read once at import: ``REPRO_PACKED``
-#: must be set before the process starts.
-_ENV_ENABLED = os.environ.get("REPRO_PACKED", "").strip().lower() not in _FALSY
-
-#: Programmatic override (tests / harnesses): ``True``/``False`` force
-#: the decision, ``None`` defers to the environment.
-_FORCED: bool | None = None
-
-
-def packed_enabled() -> bool:
-    """Is the packed-monomial fast path enabled?
-
-    ``REPRO_PACKED=0`` (or any falsy spelling) forces every consumer
-    onto the reference tuple implementation — the escape hatch CI's
-    fault-smoke job exercises.  The variable is read once, when this
-    module is imported; :func:`set_packed_enabled` is the runtime
-    override.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return _ENV_ENABLED
-
-
-def set_packed_enabled(value: bool | None) -> None:
-    """Force the fast path on/off (``None`` restores the env decision)."""
-    global _FORCED
-    _FORCED = value
 
 
 class PackedContext:
@@ -104,14 +60,13 @@ class PackedContext:
     _cache_lock = threading.Lock()
     _CACHE_MAX = 512
 
-    #: ``for_degrees`` result memo, keyed ``(nvars, summed degree bound)``.
-    #: Division and the CSE kernels size a context per operation — tens
-    #: of thousands of calls that hit a handful of shapes, so the sizing
-    #: arithmetic and the LRU probe are skipped on repeats.  Values may
-    #: be ``None`` (doesn't fit).  Reads are lock-free (CPython dict
-    #: reads are atomic); writes share ``_cache_lock``.
-    #: Derived data only — wholesale clearing just re-derives a few keys.
-    _sized: "dict[tuple[int, int], PackedContext | None]" = {}
+    #: ``for_degrees`` result memo, keyed ``(nvars, degree bound)``.
+    #: Every division sizes a context — tens of thousands of calls that
+    #: hit a handful of shapes — so repeats skip the sizing arithmetic
+    #: and the locked LRU probe.  Reads are lock-free (CPython dict reads
+    #: are atomic); writes share ``_cache_lock``.  Derived data only —
+    #: wholesale clearing just re-derives a few keys.
+    _sized: "dict[tuple[int, int], PackedContext]" = {}
     _SIZED_MAX = 4096
 
     @classmethod
@@ -142,37 +97,22 @@ class PackedContext:
         return ctx
 
     @classmethod
-    def for_degrees(cls, nvars: int, *degrees: int) -> "PackedContext | None":
-        """Context sized for *products* of monomials with these degree bounds.
+    def for_degrees(cls, nvars: int, degree: int) -> "PackedContext":
+        """Context for monomials of total degree at most ``degree``.
 
-        Division only ever shrinks monomials, so one operand bound is
-        enough there; CSE multiplies a co-kernel by a body term, and an
-        undersized context would silently alias distinct monomials (the
-        degree field underflows into a valid key).  Summing the bounds
-        makes every reachable product packable.  The cap is rounded up
-        to a power of two so nearby shapes share one interned context
-        (and the per-polynomial pack memos stay hot); returns ``None``
-        when the packed integer would exceed the overflow guard, which
-        tells the caller to use the tuple fallback.
+        Division only ever shrinks monomials, so the operands' degree
+        bound covers every monomial a division touches.  The cap is
+        rounded up to a power of two so nearby shapes share one interned
+        context (and the per-polynomial pack memos stay hot).
         """
-        total = 0
-        for d in degrees:
-            if d > 0:
-                total += d
-        key = (nvars, total)
-        hit = cls._sized.get(key, False)
-        if hit is not False:
-            return hit
-        cap = 1 << max(total.bit_length(), 1)
-        width = cap.bit_length() + 1
-        if (nvars + 1) * width > _MAX_PACKED_BITS:
-            ctx = None
-        else:
-            ctx = cls.get(nvars, cap)
-        with cls._cache_lock:
-            if len(cls._sized) >= cls._SIZED_MAX:
-                cls._sized.clear()
-            cls._sized[key] = ctx
+        key = (nvars, degree)
+        ctx = cls._sized.get(key)
+        if ctx is None:
+            ctx = cls.get(nvars, 1 << max(degree.bit_length(), 1))
+            with cls._cache_lock:
+                if len(cls._sized) >= cls._SIZED_MAX:
+                    cls._sized.clear()
+                cls._sized[key] = ctx
         return ctx
 
     def __init__(self, nvars: int, max_degree: int) -> None:
@@ -191,7 +131,8 @@ class PackedContext:
         self.lowmask = (1 << (nvars * width)) - 1
         # Degree field sits above the exponent fields; multiplying two
         # packed monomials adds their ``cap - deg`` fields, so one extra
-        # ``cap`` must be subtracted back out (see :meth:`mul`).
+        # ``cap`` must be subtracted back out (the division core's
+        # ``q + d - capshift``).
         self.degshift = nvars * width
         self.capshift = self.cap << self.degshift
 
@@ -216,19 +157,7 @@ class PackedContext:
             (packed >> (i * width)) & mask for i in range(self.nvars)
         )
 
-    def pack_terms(self, terms: Iterable[Tuple[Exponents, int]]) -> dict[int, int]:
-        """Pack a term mapping's keys (coefficients pass through)."""
-        return {self.pack(exps): coeff for exps, coeff in terms}
-
     # -- arithmetic ------------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        """Packed product ``a * b`` (fields add; degree field re-based)."""
-        return a + b - self.capshift
-
-    def div(self, a: int, b: int) -> int:
-        """Packed quotient ``a / b``; only valid when ``b`` divides ``a``."""
-        return a - b + self.capshift
 
     def divides(self, b: int, a: int) -> bool:
         """True when monomial ``b`` divides monomial ``a`` field-wise."""
@@ -241,40 +170,9 @@ class PackedContext:
         """Total degree of a packed monomial (read off the top field)."""
         return self.cap - (packed >> self.degshift)
 
-    def exponent_of(self, packed: int, index: int) -> int:
-        """One variable's exponent (field extraction)."""
-        return (packed >> (index * self.width)) & ((1 << self.width) - 1)
-
     def unit(self, index: int) -> int:
         """The packed monomial ``x_index`` (degree one, one field set)."""
         return ((self.cap - 1) << self.degshift) | (1 << (index * self.width))
-
-    def exps_gcd(self, a: int, b: int) -> int:
-        """Field-wise minimum of two *exponent-only* values (no degree field).
-
-        The guard-bit comparison marks every field where ``a >= b``;
-        expanding each mark to a full value mask selects ``b`` there and
-        ``a`` elsewhere.  Inputs and output carry only the low
-        ``nvars * width`` bits — re-attach the degree field with
-        :meth:`with_degree_field` before mixing with packed monomials.
-        """
-        guards = self.guards
-        d = ((a | guards) - b) & guards
-        m = d - (d >> (self.width - 1))
-        return (b & m) | (a & ~m & self.lowmask)
-
-    def with_degree_field(self, exps_bits: int) -> int:
-        """Promote exponent-only bits to a full packed monomial."""
-        width = self.width
-        mask = (1 << width) - 1
-        total = 0
-        for i in range(self.nvars):
-            total += (exps_bits >> (i * width)) & mask
-        return ((self.cap - total) << self.degshift) | exps_bits
-
-    def fits(self, *degrees: int) -> bool:
-        """Can monomials of these total degrees be packed losslessly?"""
-        return all(d <= self.cap for d in degrees)
 
 
 def packed_context_cache_size() -> int:
@@ -293,7 +191,7 @@ def clear_packed_context_cache() -> None:
 class PackedPoly:
     """Array-backed packed term store: parallel key/coefficient lists.
 
-    The boundary representation of the packed fast path: ``keys[i]`` is
+    The boundary representation of packed division: ``keys[i]`` is
     the packed monomial of the ``i``-th term (source order preserved —
     insertion order leaks into greedy tie-breaks downstream, so order
     fidelity is part of the contract), ``coeffs[i]`` its integer
@@ -311,32 +209,15 @@ class PackedPoly:
         self._lr: tuple[int, int, list[tuple[int, int]]] | None = None
 
     @classmethod
-    def from_terms(
-        cls, ctx: PackedContext, terms: Iterable[Tuple[Exponents, int]]
-    ) -> "PackedPoly":
-        """Pack ``(exponents, coeff)`` pairs, preserving their order."""
+    def from_polynomial(cls, poly, ctx: PackedContext) -> "PackedPoly":
+        """Pack a :class:`~repro.poly.polynomial.Polynomial`'s terms in order."""
         pack = ctx.pack
         keys: list[int] = []
         coeffs: list[int] = []
-        for exps, coeff in terms:
+        for exps, coeff in poly.terms.items():
             keys.append(pack(exps))
             coeffs.append(coeff)
         return cls(ctx, keys, coeffs)
-
-    @classmethod
-    def from_polynomial(cls, poly, ctx: PackedContext) -> "PackedPoly":
-        """Pack a :class:`~repro.poly.polynomial.Polynomial`'s terms."""
-        return cls.from_terms(ctx, poly.terms.items())
-
-    def to_terms(self) -> list[Tuple[Exponents, int]]:
-        """Tuple round-trip: ``(exponents, coeff)`` pairs in stored order."""
-        unpack = self.ctx.unpack
-        return [(unpack(k), c) for k, c in zip(self.keys, self.coeffs)]
-
-    def to_term_dict(self) -> dict[Exponents, int]:
-        """Tuple round-trip as a term mapping (stored order preserved)."""
-        unpack = self.ctx.unpack
-        return {unpack(k): c for k, c in zip(self.keys, self.coeffs)}
 
     def term_map(self) -> dict[int, int]:
         """Packed-key -> coefficient dict (built lazily, then shared).
@@ -351,13 +232,6 @@ class PackedPoly:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def leading(self) -> Tuple[int, int]:
-        """Grevlex-leading ``(packed key, coeff)`` (min packed value)."""
-        if not self.keys:
-            raise ValueError("zero polynomial has no leading term")
-        lead = min(self.keys)
-        return lead, self.term_map()[lead]
 
     def lead_rest(self) -> tuple[int, int, list[tuple[int, int]]]:
         """(lead key, lead coeff, non-leading items) — the division view.
@@ -377,21 +251,14 @@ class PackedPoly:
             )
         return lr
 
-    def total_degree(self) -> int:
-        """Maximum total degree over the stored terms; -1 when empty."""
-        if not self.keys:
-            return -1
-        return self.ctx.degree_of(min(self.keys))
-
 
 def packed_form(poly, ctx: PackedContext) -> PackedPoly:
     """Memoized :class:`PackedPoly` of a polynomial under a context.
 
-    The division and CSE hot paths meet the same polynomial instances
-    repeatedly; the packing is cached on the polynomial instance, keyed
-    by the context's shape.  ``poly.vars``
-    must align with ``ctx.nvars`` and every term must fit — callers
-    size the context first (:meth:`PackedContext.for_degrees`).
+    Division meets the same polynomial instances repeatedly; the packing
+    is cached on the polynomial instance, keyed by the context's shape.
+    ``poly.vars`` must align with ``ctx.nvars`` and every term must fit
+    — callers size the context first (:meth:`PackedContext.for_degrees`).
     """
     cache = poly._pk
     key = (ctx.nvars, ctx.cap)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.cse import expand_blocks
 from repro.poly import Polynomial, divide_out_all, parse_polynomial as P
-from repro.poly.packed import set_packed_enabled
+from repro.poly.division import _divmod_generic
+from repro.poly.orderings import grevlex_key
 
 
 class TestDivideByBlock:
@@ -186,16 +187,51 @@ def _division_inputs(draw):
     return poly, registry
 
 
+def _tuple_divide_by_block(poly, divisor, block_name, max_depth=8):
+    """divide_by_block on the exponent-tuple division loop."""
+    if divisor.vars != poly.vars:
+        if set(divisor.used_vars()) <= set(poly.vars):
+            divisor = divisor.with_vars(poly.vars)
+        else:
+            poly, divisor = Polynomial.unify(poly, divisor)
+    quotient, remainder = _divmod_generic(
+        *Polynomial.unify(poly, divisor), grevlex_key
+    )
+    if quotient.is_zero:
+        return None
+    inner = quotient
+    if max_depth > 1 and quotient.total_degree() >= divisor.total_degree():
+        deeper = _tuple_divide_by_block(quotient, divisor, block_name, max_depth - 1)
+        if deeper is not None:
+            inner = deeper
+    return Polynomial.variable(block_name) * inner + remainder
+
+
+def _tuple_division_candidates(poly, registry, max_candidates):
+    """division_candidates on the exponent-tuple division loop."""
+    poly_vars = set(poly.used_vars())
+    candidates = []
+    for name, divisor in registry.linear_blocks():
+        if name in poly_vars or not poly_vars.issuperset(divisor.used_vars()):
+            continue
+        rewritten = _tuple_divide_by_block(poly, divisor, name)
+        if rewritten is not None:
+            candidates.append((len(rewritten), rewritten))
+    candidates.sort(key=lambda item: item[0])
+    return [rewritten for _, rewritten in candidates[:max_candidates]]
+
+
 class TestDivisionCandidatesPackedParity:
     @settings(max_examples=80, deadline=None)
     @given(_division_inputs(), st.sampled_from([2, 6]))
     def test_packed_matches_tuple(self, inputs, max_candidates):
         poly, registry = inputs
-        try:
-            set_packed_enabled(True)
-            packed = division_candidates(poly, registry, max_candidates)
-            set_packed_enabled(False)
-            tuple_path = division_candidates(poly, registry, max_candidates)
-        finally:
-            set_packed_enabled(None)
-        assert [_exact(c) for c in packed] == [_exact(c) for c in tuple_path]
+        for name, divisor in registry.linear_blocks():
+            got = divide_by_block(poly, divisor, name)
+            want = _tuple_divide_by_block(poly, divisor, name)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _exact(got) == _exact(want)
+        packed = division_candidates(poly, registry, max_candidates)
+        reference = _tuple_division_candidates(poly, registry, max_candidates)
+        assert [_exact(c) for c in packed] == [_exact(c) for c in reference]

@@ -1,15 +1,16 @@
-"""Differential property tests: packed monomials agree with tuples.
+"""Differential property tests: packed division agrees with tuples.
 
-The packed fast path (:mod:`repro.poly.packed`) re-implements monomial
-multiplication, divisibility, grevlex comparison, and exponent GCD as
-plain integer arithmetic.  A silent field overflow or an off-by-one in
-the guard-bit trick would not crash — it would alias distinct monomials
-and quietly change division results downstream.  So every packed
-operation is pinned against the reference ``mono_*`` tuple
-implementation over hypothesis-generated exponent tuples, and the two
-whole-polynomial entry points (``divmod_poly``, ``divide_out_all``) are
-checked packed-vs-tuple for exact result identity, including term
-order.
+Grevlex division (:mod:`repro.poly.division`) runs on packed monomials
+(:mod:`repro.poly.packed`): multiplication, divisibility and grevlex
+comparison become plain integer arithmetic.  A silent field overflow or
+an off-by-one in the guard-bit trick would not crash — it would alias
+distinct monomials and quietly change division results downstream.  So
+every packed operation the division loop uses is pinned against the
+reference ``mono_*`` tuple implementation over hypothesis-generated
+exponent tuples, and the two whole-polynomial entry points
+(``divmod_poly``, ``divide_out_all``) are checked against the
+exponent-tuple reference loop ``_divmod_generic`` for exact result
+identity, including term order and variable order.
 """
 
 from __future__ import annotations
@@ -17,19 +18,12 @@ from __future__ import annotations
 import random
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.poly import Polynomial
-from repro.poly.division import divide_out_all, divmod_poly
-from repro.poly.monomial import (
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_gcd,
-    mono_mul,
-)
+from repro.poly.division import _divmod_generic, divide_out_all, divmod_poly
+from repro.poly.monomial import mono_degree, mono_div, mono_divides, mono_mul
 from repro.poly.orderings import grevlex_key
 from repro.poly.packed import (
     PackedContext,
@@ -37,7 +31,6 @@ from repro.poly.packed import (
     clear_packed_context_cache,
     packed_context_cache_size,
     packed_form,
-    set_packed_enabled,
 )
 
 # Exponent tuples: 1..6 variables, entries small enough that products of
@@ -54,12 +47,9 @@ def exponents(max_exp: int = 9):
 
 
 def _product_context(*tuples):
-    """Context sized the way the CSE port sizes them: product bound."""
+    """Context that holds every product of two of these monomials."""
     nvars = len(tuples[0])
-    bound = max(sum(t) for t in tuples)
-    ctx = PackedContext.for_degrees(nvars, bound, bound)
-    assert ctx is not None
-    return ctx
+    return PackedContext.for_degrees(nvars, 2 * max(sum(t) for t in tuples))
 
 
 class TestPackedMonomialOps:
@@ -70,8 +60,9 @@ class TestPackedMonomialOps:
 
     @given(exponents(), exponents())
     def test_mul_matches_mono_mul(self, a, b):
+        # The division core's product: ``target = q + d - capshift``.
         ctx = _product_context(a, b)
-        product = ctx.mul(ctx.pack(a), ctx.pack(b))
+        product = ctx.pack(a) + ctx.pack(b) - ctx.capshift
         assert ctx.unpack(product) == mono_mul(a, b)
         assert ctx.degree_of(product) == mono_degree(mono_mul(a, b))
 
@@ -82,20 +73,11 @@ class TestPackedMonomialOps:
 
     @given(exponents(), exponents())
     def test_div_matches_mono_div(self, a, b):
+        # The division core's quotient: ``q = w - lead + capshift``.
         joint = mono_mul(a, b)
         ctx = _product_context(joint)
-        packed = ctx.div(ctx.pack(joint), ctx.pack(b))
+        packed = ctx.pack(joint) - ctx.pack(b) + ctx.capshift
         assert ctx.unpack(packed) == mono_div(joint, b) == a
-
-    @given(exponents(), exponents())
-    def test_exps_gcd_matches_mono_gcd(self, a, b):
-        ctx = _product_context(a, b)
-        lowmask = ctx.lowmask
-        bits = ctx.exps_gcd(ctx.pack(a) & lowmask, ctx.pack(b) & lowmask)
-        full = ctx.with_degree_field(bits)
-        gcd = mono_gcd(a, b)
-        assert ctx.unpack(full) == gcd
-        assert ctx.degree_of(full) == mono_degree(gcd)
 
     @given(exponents(), exponents())
     def test_packed_order_is_inverse_grevlex(self, a, b):
@@ -105,7 +87,7 @@ class TestPackedMonomialOps:
             assert pa == pb
         else:
             # Smaller packed integer == grevlex-larger monomial, the
-            # invariant the division heap and ``leading()`` rely on.
+            # invariant the division heap and ``lead_rest()`` rely on.
             assert (pa < pb) == (grevlex_key(a) > grevlex_key(b))
 
     @given(exponents())
@@ -120,25 +102,22 @@ class TestPackedMonomialOps:
 
 
 class TestContextSizing:
-    def test_for_degrees_overflow_returns_none(self):
-        # 200 variables at a cap needing >1024 bits total must refuse.
-        assert PackedContext.for_degrees(200, 50, 50) is None
-
     def test_for_degrees_caches_and_clears(self):
         clear_packed_context_cache()
-        ctx = PackedContext.for_degrees(3, 5, 5)
-        assert ctx is not None
-        assert PackedContext.for_degrees(3, 5, 5) is ctx
+        ctx = PackedContext.for_degrees(3, 10)
+        assert PackedContext.for_degrees(3, 10) is ctx
         assert packed_context_cache_size() >= 1
         clear_packed_context_cache()
         assert packed_context_cache_size() == 0
 
     def test_boundary_degree_fits(self):
-        # Everything up to the summed bound must pack losslessly.
-        ctx = PackedContext.for_degrees(2, 7, 7)
-        exps = (14, 0)
-        assert ctx.fits(14)
-        assert ctx.unpack(ctx.pack(exps)) == exps
+        # Everything up to the degree bound must pack losslessly.
+        ctx = PackedContext.for_degrees(2, 14)
+        assert ctx.cap >= 14
+        for exps in ((14, 0), (0, 14), (7, 7)):
+            packed = ctx.pack(exps)
+            assert ctx.unpack(packed) == exps
+            assert ctx.degree_of(packed) == 14
 
     def test_get_cache_is_bounded_lru(self):
         clear_packed_context_cache()
@@ -201,57 +180,66 @@ class TestPackedPoly:
     @given(poly_terms)
     def test_round_trip_preserves_order(self, raw_terms):
         poly = _polys(raw_terms)
-        degree = max(poly.total_degree(), 1)
-        ctx = PackedContext.for_degrees(3, degree, degree)
+        ctx = PackedContext.for_degrees(3, poly.total_degree())
         packed = PackedPoly.from_polynomial(poly, ctx)
-        assert packed.to_terms() == list(poly.terms.items())
-        assert packed.to_term_dict() == dict(poly.terms)
+        unpacked = [(ctx.unpack(k), c) for k, c in zip(packed.keys, packed.coeffs)]
+        assert unpacked == list(poly.terms.items())
         assert len(packed) == len(poly.terms)
 
     @given(poly_terms)
     def test_leading_and_degree(self, raw_terms):
         poly = _polys(raw_terms)
-        degree = max(poly.total_degree(), 1)
-        ctx = PackedContext.for_degrees(3, degree, degree)
+        ctx = PackedContext.for_degrees(3, poly.total_degree())
         packed = PackedPoly.from_polynomial(poly, ctx)
         if poly.is_zero:
-            assert packed.total_degree() == -1
-            with pytest.raises(ValueError):
-                packed.leading()
-        else:
-            lead, coeff = packed.leading()
-            expected = max(poly.terms, key=grevlex_key)
-            assert ctx.unpack(lead) == expected
-            assert coeff == poly.terms[expected]
-            assert packed.total_degree() == poly.total_degree()
-            head, head_coeff, rest = packed.lead_rest()
-            assert (head, head_coeff) == (lead, coeff)
-            assert dict(rest) == {
-                k: c for k, c in packed.term_map().items() if k != lead
-            }
+            assert len(packed) == 0
+            return
+        lead, coeff, rest = packed.lead_rest()
+        expected = max(poly.terms, key=grevlex_key)
+        assert ctx.unpack(lead) == expected
+        assert coeff == poly.terms[expected]
+        assert ctx.degree_of(lead) == poly.total_degree()
+        assert dict(rest) == {
+            k: c for k, c in packed.term_map().items() if k != lead
+        }
 
     def test_packed_form_memoizes_per_context_shape(self):
         poly = Polynomial(POLY_VARS, {(1, 0, 0): 2, (0, 1, 1): -3})
-        ctx = PackedContext.for_degrees(3, 4, 4)
+        ctx = PackedContext.for_degrees(3, 8)
         assert packed_form(poly, ctx) is packed_form(poly, ctx)
-        other = PackedContext.for_degrees(3, 40, 40)
+        other = PackedContext.for_degrees(3, 80)
         assert packed_form(poly, other) is not packed_form(poly, ctx)
 
 
-def _both_modes(operation):
-    """Run ``operation()`` packed then tuple; restore the env decision."""
-    try:
-        set_packed_enabled(True)
-        fast = operation()
-        set_packed_enabled(False)
-        slow = operation()
-    finally:
-        set_packed_enabled(None)
-    return fast, slow
+def _reference_divmod(dividend, divisor):
+    """Grevlex division on the exponent-tuple reference loop."""
+    return _divmod_generic(*Polynomial.unify(dividend, divisor), grevlex_key)
+
+
+def _reference_divide_out_all(dividend, divisor):
+    """Repeated exact division on the exponent-tuple reference loop."""
+    current, divisor_u = Polynomial.unify(dividend, divisor)
+    count = 0
+    while not current.is_zero:
+        quotient, remainder = _divmod_generic(current, divisor_u, grevlex_key)
+        if not remainder.is_zero:
+            break
+        current = quotient
+        count += 1
+    if count == 0:
+        return dividend, 0
+    return current, count
+
+
+def _assert_identical(got, want):
+    """Equal values, equal term order and equal variable tuples."""
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.vars == want.vars
 
 
 class TestWholePolynomialDifferential:
-    """divmod/divide_out_all: packed and tuple paths byte-identical."""
+    """divmod/divide_out_all: packed path byte-identical to the tuple loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(poly_terms, poly_terms)
@@ -260,13 +248,12 @@ class TestWholePolynomialDifferential:
         divisor = _polys(b_terms)
         if divisor.is_zero:
             return
-        fast, slow = _both_modes(lambda: divmod_poly(dividend, divisor))
-        assert fast == slow
         # Identity must extend to term *order* (it leaks into greedy
         # tie-breaks downstream), not just mathematical equality.
-        for f, s in zip(fast, slow):
-            assert list(f.terms.items()) == list(s.terms.items())
-            assert f.vars == s.vars
+        for got, want in zip(
+            divmod_poly(dividend, divisor), _reference_divmod(dividend, divisor)
+        ):
+            _assert_identical(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(poly_terms, poly_terms)
@@ -275,11 +262,55 @@ class TestWholePolynomialDifferential:
         divisor = _polys(b_terms)
         if divisor.is_zero or divisor.is_constant:
             return
-        fast, slow = _both_modes(lambda: divide_out_all(dividend, divisor))
-        assert fast == slow
-        assert list(fast[0].terms.items()) == list(slow[0].terms.items())
-        assert fast[0].vars == slow[0].vars
-        assert fast[1] == slow[1]
+        reduced, count = divide_out_all(dividend, divisor)
+        want_reduced, want_count = _reference_divide_out_all(dividend, divisor)
+        _assert_identical(reduced, want_reduced)
+        assert count == want_count
+
+    def test_wide_context_past_1024_bits(self):
+        # 200 variables at degree <= 12: (200 + 1) * 6 bits per key.
+        nvars = 200
+        names = tuple(f"x{i:03d}" for i in range(nvars))
+        rng = random.Random(0x200)
+
+        def sparse_poly(terms, degree):
+            out = {}
+            for _ in range(terms):
+                exps = [0] * nvars
+                for _ in range(rng.randint(0, degree)):
+                    exps[rng.randrange(nvars)] += 1
+                out[tuple(exps)] = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+            return Polynomial(names, out)
+
+        ctx = PackedContext.for_degrees(nvars, 12)
+        assert (nvars + 1) * ctx.width > 1024
+        for _ in range(20):
+            a = tuple(rng.randint(0, 3) for _ in range(nvars))
+            b = tuple(rng.randint(0, 3) for _ in range(nvars))
+            assert ctx.unpack(ctx.pack(a)) == a
+            assert ctx.divides(ctx.pack(b), ctx.pack(a)) == mono_divides(b, a)
+            joint = mono_mul(a, b)
+            assert ctx.divides(ctx.pack(b), ctx.pack(joint))
+
+        for _ in range(8):
+            divisor = sparse_poly(rng.randint(2, 3), 2)
+            if divisor.is_constant:
+                continue
+            cofactor = sparse_poly(rng.randint(1, 3), 2)
+            dividend = divisor * divisor * cofactor + sparse_poly(2, 3)
+            assert dividend.total_degree() <= 12
+            for got, want in zip(
+                divmod_poly(dividend, divisor),
+                _reference_divmod(dividend, divisor),
+            ):
+                _assert_identical(got, want)
+            for candidate in (dividend, divisor * divisor * cofactor):
+                reduced, count = divide_out_all(candidate, divisor)
+                want_reduced, want_count = _reference_divide_out_all(
+                    candidate, divisor
+                )
+                _assert_identical(reduced, want_reduced)
+                assert count == want_count
 
 
 class TestCacheRegistration:
