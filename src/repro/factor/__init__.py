@@ -2,7 +2,8 @@
 
 Square-free factorization (Yun), full factorization over Z (big-prime
 Zassenhaus for univariate bases, Kronecker substitution for multivariate
-ones), and the Horner-form baseline decompositions.
+ones), the specialization certificates that skip both for square-free
+and irreducible inputs, and the Horner-form baseline decompositions.
 """
 
 from .factorize import Factorization, factor_polynomial

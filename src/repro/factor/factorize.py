@@ -6,6 +6,13 @@ square-free base — univariate bases through big-prime Zassenhaus,
 multivariate bases through Kronecker substitution.  This is the repo's
 substitute for MATLAB's ``factor`` / Maple's ``factor`` in the paper's
 flow.
+
+Most inputs the flow factors are square-free and irreducible, so both
+stages first try a specialization certificate
+(:mod:`repro.factor.certificate`): one univariate image ``f(x, a)`` at a
+fixed integer point that proves the outcome, which skips Yun's GCDs and
+the Kronecker image.  A certificate only ever returns what the full
+algorithm would, so the factorizations are the same with or without it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ subsets of its irreducible factors, inverting the substitution digit by
 digit.  Candidates are verified by exact multivariate division, so the
 result is always sound; on pathologically many modular factors the search
 gives up and returns the input unfactored (best-effort, never wrong).
+
+Before building the image, :func:`~repro.factor.certificate.certify_irreducible`
+tries to prove the input irreducible from one specialization ``f(x, a)``;
+when it can, the input is returned as is, which is what the full search
+returns for an irreducible input.  The subset search ticks the ambient
+budget (site ``factor/kronecker``), amortized like the GF(p) loops.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from itertools import combinations
 
 from repro.poly import Polynomial, exact_divide
 
+from .certificate import certify_irreducible
 from .univariate import factor_squarefree_univariate
 
 _SUBSET_BUDGET = 4096
@@ -90,12 +97,19 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
             for f in factor_squarefree_univariate(work, used[0])
         ]
 
+    if certify_irreducible(work):
+        return [poly]
     base = max(work.degree(v) for v in used) + 1
     image = _encode(work, base)
     univariate_factors = _factor_univariate_full(image, _KRONECKER_VAR)
     if len(univariate_factors) == 1:
         return [poly]
 
+    from repro.core.budget import CHECK_STRIDE, current_deadline
+
+    deadline = current_deadline()
+    ticking = deadline.enabled
+    pending = 0
     factors: list[Polynomial] = []
     remaining = list(univariate_factors)
     current = work
@@ -105,6 +119,11 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
             break
         progressed = False
         for subset in combinations(range(len(remaining)), subset_size):
+            if ticking:
+                pending += 1
+                if pending >= CHECK_STRIDE:
+                    deadline.tick(pending, site="factor/kronecker")
+                    pending = 0
             candidate_image = Polynomial.constant(1)
             for index in subset:
                 candidate_image = candidate_image * remaining[index]
@@ -124,6 +143,8 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
                 break
         if not progressed:
             subset_size += 1
+    if ticking and pending:
+        deadline.tick(pending, site="factor/kronecker")
     if not current.is_constant:
         factors.append(current)
     elif current.constant_term not in (1, -1) or not factors:

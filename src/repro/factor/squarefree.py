@@ -9,6 +9,13 @@ with integer content ``c`` and pairwise-coprime square-free ``s_i``.  The
 square-free split is what turns ``x^2 + 2xy + y^2`` into ``(x + y)^2`` —
 the transformation kernel/co-kernel factoring cannot find (Section 14.2.1,
 "Symbolic Methods" limitation).
+
+Each primitive part first tries a specialization certificate
+(:func:`~repro.factor.certificate.certify_square_free`): when its first
+used variable ``x`` has an integer-constant coefficient and ``f(x, a)``
+is square-free modulo a fixed prime at a fixed point, ``f`` is
+square-free and primitive in ``x``, so the answer is ``[(f, 1)]``
+without ``content_wrt`` or Yun's ``poly_gcd`` calls.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from dataclasses import dataclass
 
 from repro.poly import Polynomial, exact_divide, poly_gcd
 from repro.poly.gcd import content_wrt, primitive_wrt
+
+from .certificate import certify_square_free
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,8 @@ def _square_free_primitive(poly: Polynomial) -> list[tuple[Polynomial, int]]:
         return []
     used = poly.used_vars()
     var = used[0]
+    if certify_square_free(poly, var):
+        return [(poly, 1)]
     if len(used) == 1:
         return _yun(poly, var)
     cont = content_wrt(poly, var)

@@ -13,6 +13,11 @@ Zassenhaus* method:
    (:mod:`repro.factor.zp`),
 4. recombine modular factors into true integer factors by subset search
    with symmetric lifting and trial division.
+
+The input must be square-free: no prime keeps a square square-free, so
+a non-square-free input raises ``ValueError`` rather than searching for
+a prime forever.  The subset search ticks the ambient budget (site
+``factor/recombine``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, isqrt
 
-from repro.poly import Polynomial
+from repro.poly import Polynomial, poly_gcd
 
 from .zp import (
     next_prime,
@@ -103,6 +108,7 @@ def factor_squarefree_univariate(poly: Polynomial, var: str) -> list[Polynomial]
     The product of the returned factors equals ``poly`` up to sign of the
     leading coefficient (inputs are expected primitive with a positive
     leading coefficient, as produced by square-free factorization).
+    Raises ``ValueError`` when ``poly`` is not square-free.
     """
     coeffs = poly.to_dense(var)
     factors = _factor_squarefree_dense(coeffs)
@@ -119,8 +125,16 @@ def _factor_squarefree_dense(coeffs: list[int]) -> list[list[int]]:
     lead = coeffs[-1]
     bound = mignotte_bound(coeffs)
     p = next_prime(2 * abs(lead) * bound + 1)
-    # The prime must keep f square-free mod p; only finitely many fail.
+    # The prime must keep f square-free mod p.  Only finitely many fail
+    # for a square-free f, but every prime fails for any other f, so
+    # square-freeness over Z is checked once, at the first failure.
+    checked = False
     while lead % p == 0 or not zp_is_square_free(zp_trim(coeffs, p), p):
+        if not checked:
+            f = Polynomial.from_dense(coeffs, "x")
+            if not poly_gcd(f, f.derivative("x")).is_constant:
+                raise ValueError(f"not square-free: {f}")
+            checked = True
         p = next_prime(p)
 
     monic_mod = zp_monic(zp_trim(coeffs, p), p)
@@ -134,7 +148,16 @@ def _factor_squarefree_dense(coeffs: list[int]) -> list[list[int]]:
 def _recombine(
     coeffs: list[int], modular: list[list[int]], p: int
 ) -> list[list[int]]:
-    """Subset-search recombination of modular factors into integer factors."""
+    """Subset-search recombination of modular factors into integer factors.
+
+    The search is exponential in the number of modular factors, so it
+    ticks the ambient budget (one step per subset, amortized).
+    """
+    from repro.core.budget import CHECK_STRIDE, current_deadline
+
+    deadline = current_deadline()
+    ticking = deadline.enabled
+    pending = 0
     work = list(coeffs)
     remaining = list(modular)
     found: list[list[int]] = []
@@ -142,6 +165,11 @@ def _recombine(
     while 2 * subset_size <= len(remaining):
         progressed = False
         for subset in combinations(range(len(remaining)), subset_size):
+            if ticking:
+                pending += 1
+                if pending >= CHECK_STRIDE:
+                    deadline.tick(pending, site="factor/recombine")
+                    pending = 0
             lead = work[-1]
             candidate = [lead]
             for index in subset:
@@ -160,6 +188,8 @@ def _recombine(
                 break
         if not progressed:
             subset_size += 1
+    if ticking and pending:
+        deadline.tick(pending, site="factor/recombine")
     if len(work) > 1 or (len(work) == 1 and abs(work[0]) != 1):
         found.append(work)
     return found

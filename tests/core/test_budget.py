@@ -171,8 +171,10 @@ class TestGracefulDegradation:
         # Six variables, degree 3: building the factored representation
         # runs Kronecker factoring over GF(p) (distinct-degree splitting
         # of a high-degree image), which has to honour the job budget.
+        # Seed 3's initial phase alone runs past 20 s, so it degrades
+        # there on any host.
         system = random_system(
-            1, num_polys=4, variables=("a", "b", "c", "d", "e", "f"),
+            3, num_polys=4, variables=("a", "b", "c", "d", "e", "f"),
             width=8, max_terms=12,
         )
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Tests for big-prime Zassenhaus factorization over Z."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.factor import (
@@ -128,3 +129,11 @@ class TestFullFactorDriver:
             m * sympy.Poly(f, x).degree() for f, m in theirs[1]
         )
         assert our_count == their_count
+
+
+class TestNotSquareFree:
+    def test_square_raises_instead_of_hanging(self):
+        # No prime keeps (x+1)^2 square-free, so the search for one must
+        # give up rather than run forever.
+        with pytest.raises(ValueError):
+            factor_squarefree_univariate(P("x^2 + 2*x + 1"), "x")
