@@ -452,7 +452,7 @@ def synthesize(
 
     The combination search scores every combination on a shared
     expression DAG and lowers only a shortlist of finalists through the
-    exact rectangle extractor.  ``dag`` optionally supplies the
+    exact CSE extractor.  ``dag`` optionally supplies the
     :class:`~repro.dag.ExpressionDAG` to score on — by default each run
     uses a fresh instance so provenance statistics never depend on what
     else the process interned.
@@ -890,7 +890,7 @@ def _search_phase(
 
     Every combination is scored on the shared expression DAG (cheap set
     unions over interned nodes); only a shortlist of finalists is then
-    assembled through the exact rectangle extractor and priced under the
+    assembled through the exact CSE extractor and priced under the
     objective.  Returns the winner's indices, its decomposition and the
     run's provenance record.
     """
@@ -1038,11 +1038,12 @@ def _search_phase(
 _PRUNE_FACTOR = 3.0
 
 #: Number of top surrogate-ranked combinations (beyond the family seeds)
-#: that the search lowers through the exact rectangle extractor.  The DAG
-#: surrogate ranks the exact winner first or second on every calibration
-#: system; a small buffer keeps the finalist pass robust to ranking
-#: noise without re-paying the per-combination CSE cost the surrogate
-#: exists to avoid.
+#: that the search assembles and prices through the exact CSE extractor.
+#: The DAG surrogate is only a ranking: the exact winner is not always
+#: its top pick (it ranks 3rd on SG 4X3, and Table 14.2 is won at rank 3
+#: by a family seed that ties a rank-0 combination).  Four ranks plus the
+#: family seeds keep the finalist pass small without re-paying the
+#: per-combination CSE cost the surrogate exists to avoid.
 _DAG_FINALISTS = 4
 
 

@@ -19,30 +19,14 @@ from .extract import (
     eliminate_common_subexpressions,
     expand_blocks,
 )
-from .kcm import (
-    KcmRow,
-    KernelCubeMatrix,
-    Rectangle,
-    best_rectangles,
-    build_kcm,
-    grow_rectangle,
-    rectangle_value,
-)
 from .kernels import KernelEntry, all_kernels, is_cube_free, iter_kernels
 
 __all__ = [
     "CseResult",
-    "KcmRow",
-    "KernelCubeMatrix",
     "KernelEntry",
-    "Rectangle",
     "all_kernels",
-    "best_rectangles",
-    "build_kcm",
     "eliminate_common_subexpressions",
     "expand_blocks",
-    "grow_rectangle",
     "is_cube_free",
     "iter_kernels",
-    "rectangle_value",
 ]

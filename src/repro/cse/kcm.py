@@ -16,133 +16,21 @@ direction without losing the all-ones property.  The classical greedy
 "ping-pong" heuristic grows a seed column into a locally best prime
 rectangle by alternating row- and column-side extensions.
 
-:mod:`repro.cse.extract` consumes the best rectangles as extraction
-candidates (they capture k-way kernel intersections that pairwise
-intersection misses).
+The matrix is kept up to date row by row: :mod:`repro.cse.extract`
+removes the rows of every polynomial an extraction rewrites and adds the
+rows of the rewritten polynomial.  Rows and columns are integer ids
+chosen by the caller; row ids sort in row order.  Growth from a seed
+column reads only the rows that contain it, so each seed's rectangle is
+kept until one of those rows changes, and :meth:`best_rectangles`
+regrows only the seeds a row change touched.  The extractor consumes
+the best rectangles as extraction candidates (they capture k-way kernel
+intersections that pairwise intersection misses).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-from repro.poly import Polynomial
-from repro.poly.monomial import Exponents, mono_literal_count
-
-from .kernels import all_kernels
-
-Cube = tuple[Exponents, int]  # (monomial, coefficient)
-
-
-@dataclass(frozen=True)
-class KcmRow:
-    """One (polynomial index, co-kernel) pair."""
-
-    poly_index: int
-    cokernel: Exponents
-
-
-@dataclass
-class KernelCubeMatrix:
-    """The incidence structure between kernel rows and cube columns."""
-
-    variables: tuple[str, ...]
-    rows: list[KcmRow]
-    columns: list[Cube]
-    # For each row, the set of column indices present in its kernel.
-    incidence: list[set[int]]
-    # Lazily-built transpose (column -> rows containing it); rectangle
-    # growth probes row coverage hundreds of times per matrix.
-    _postings: list[set[int]] | None = field(default=None, repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
-
-    def _column_postings(self) -> list[set[int]]:
-        postings = self._postings
-        if postings is None:
-            postings = [set() for _ in self.columns]
-            for r, present in enumerate(self.incidence):
-                for c in present:
-                    postings[c].add(r)
-            self._postings = postings
-        return postings
-
-    def column_sum(self, column_indices: Sequence[int]) -> Polynomial:
-        """The polynomial formed by a set of columns (the sub-expression)."""
-        terms: dict[Exponents, int] = {}
-        for index in column_indices:
-            exps, coeff = self.columns[index]
-            terms[exps] = terms.get(exps, 0) + coeff
-        return Polynomial(self.variables, terms)
-
-    def rows_covering(self, column_indices: set[int]) -> list[int]:
-        """Rows whose kernels contain every given column (ascending)."""
-        if not column_indices:
-            return list(range(len(self.rows)))
-        postings = self._column_postings()
-        it = iter(column_indices)
-        acc = set(postings[next(it)])
-        for c in it:
-            acc &= postings[c]
-            if not acc:
-                break
-        return sorted(acc)
-
-    def columns_common(self, row_indices: Sequence[int]) -> set[int]:
-        """Columns present in every given row."""
-        row_iter = iter(row_indices)
-        try:
-            first = next(row_iter)
-        except StopIteration:
-            return set()
-        common = set(self.incidence[first])
-        for r in row_iter:
-            common &= self.incidence[r]
-            if not common:
-                break
-        return common
-
-
-def build_kcm(polys: Sequence[Polynomial]) -> KernelCubeMatrix:
-    """Construct the KCM of a polynomial system."""
-    unified = Polynomial.unify_all(list(polys))
-    variables = unified[0].vars if unified else ()
-    return kcm_from_kernels(
-        variables,
-        (
-            (KcmRow(poly_index, entry.cokernel), entry.kernel)
-            for poly_index, poly in enumerate(unified)
-            for entry in all_kernels(poly)
-        ),
-    )
-
-
-def kcm_from_kernels(
-    variables: tuple[str, ...], entries: Iterable[tuple[KcmRow, Polynomial]]
-) -> KernelCubeMatrix:
-    """The KCM of already-enumerated ``(row, kernel)`` pairs, in order.
-
-    Columns are numbered in order of first appearance, which seeds
-    rectangle growth, so the row order fixes the matrix.
-    """
-    rows: list[KcmRow] = []
-    column_index: dict[Cube, int] = {}
-    columns: list[Cube] = []
-    incidence: list[set[int]] = []
-    for row, kernel in entries:
-        rows.append(row)
-        present: set[int] = set()
-        for cube in kernel.terms.items():
-            index = column_index.get(cube)
-            if index is None:
-                index = len(columns)
-                column_index[cube] = index
-                columns.append(cube)
-            present.add(index)
-        incidence.append(present)
-    return KernelCubeMatrix(variables, rows, columns, incidence)
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -162,25 +50,150 @@ class Rectangle:
         return len(self.column_indices)
 
 
-def _column_weight(cube: Cube) -> int:
-    """Weighted operator content of one cube (variable muls dear)."""
-    exps, coeff = cube
-    weight = max(mono_literal_count(exps) - 1, 0) * 20
-    if abs(coeff) != 1 and mono_literal_count(exps):
-        weight += 2
-    return weight
+class KernelCubeMatrix:
+    """The incidence structure between kernel rows and cube columns.
+
+    ``column_weight`` gives the weighted operator content of one column's
+    cube (variable multiplies dear), which prices rectangles.
+    """
+
+    def __init__(self, column_weight: Callable[[int], int]):
+        self.column_weight = column_weight
+        #: row id -> its columns, in the kernel's term order.
+        self.row_columns: dict[int, tuple[int, ...]] = {}
+        #: row id -> the same columns as a set.
+        self.incidence: dict[int, frozenset[int]] = {}
+        #: column id -> the rows whose kernels contain it.
+        self.postings: dict[int, set[int]] = {}
+        #: seed column -> rectangle grown from it (positive value only).
+        self._grown: dict[int, Rectangle] = {}
+        #: seeds whose rows changed since they were last grown.
+        self._stale: set[int] = set()
+        self._first: dict[int, tuple[int, int]] = {}
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.incidence), len(self.postings)
+
+    def add_row(self, row: int, columns: Sequence[int]) -> frozenset[int]:
+        """Add one kernel row; returns its column set."""
+        present = frozenset(columns)
+        self.row_columns[row] = tuple(columns)
+        self.incidence[row] = present
+        postings = self.postings
+        for column in present:
+            rows = postings.get(column)
+            if rows is None:
+                postings[column] = {row}
+            else:
+                rows.add(row)
+        self._forget(present)
+        return present
+
+    def remove_row(self, row: int) -> None:
+        del self.row_columns[row]
+        postings = self.postings
+        present = self.incidence.pop(row)
+        for column in present:
+            rows = postings[column]
+            rows.discard(row)
+            if not rows:
+                del postings[column]
+        self._forget(present)
+
+    def _forget(self, columns: frozenset[int]) -> None:
+        """Mark the seeds of a changed row for regrowth."""
+        grown, first = self._grown, self._first
+        if grown or first:
+            for column in columns:
+                grown.pop(column, None)
+                first.pop(column, None)
+        self._stale |= columns
+
+    def rows_covering(self, column_indices: Iterable[int]) -> list[int]:
+        """Rows whose kernels contain every given column (in row order)."""
+        postings = self.postings
+        it = iter(column_indices)
+        first = next(it, None)
+        if first is None:
+            return sorted(self.incidence)
+        acc = set(postings.get(first, ()))
+        for c in it:
+            acc &= postings.get(c, ())
+            if not acc:
+                break
+        return sorted(acc)
+
+    def columns_common(self, row_indices: Sequence[int]) -> set[int]:
+        """Columns present in every given row."""
+        row_iter = iter(row_indices)
+        try:
+            first = next(row_iter)
+        except StopIteration:
+            return set()
+        common = set(self.incidence[first])
+        for r in row_iter:
+            common &= self.incidence[r]
+            if not common:
+                break
+        return common
+
+    def first_appearance(self, column: int) -> tuple[int, int]:
+        """(row, term position) of the column's first occurrence in row order."""
+        first = self._first.get(column)
+        if first is None:
+            row = min(self.postings[column])
+            first = (row, self.row_columns[row].index(column))
+            self._first[column] = first
+        return first
+
+    def best_rectangles(self, limit: int = 8) -> list[Rectangle]:
+        """The top prime rectangles by estimated value (deduplicated).
+
+        Seeds are taken in order of first appearance, so among equally
+        valued rectangles the one grown from the earliest seed ranks first.
+        """
+        from repro.core.budget import CHECK_STRIDE, current_deadline
+
+        deadline = current_deadline()
+        grown = self._grown
+        pending = 0
+        for seed in self._stale:
+            if seed not in self.postings:
+                continue
+            rectangle = grow_rectangle(self, seed)
+            if rectangle is not None and rectangle.value > 0:
+                grown[seed] = rectangle
+            pending += 1
+            if pending >= CHECK_STRIDE:
+                deadline.tick(pending, site="cse/rectangles")
+                pending = 0
+        if pending:
+            deadline.tick(pending, site="cse/rectangles")
+        self._stale.clear()
+        seeded = [(self.first_appearance(seed), r) for seed, r in grown.items()]
+        seeded.sort(key=lambda item: item[0])
+        found: dict[tuple[tuple[int, ...], tuple[int, ...]], Rectangle] = {}
+        for _, rectangle in seeded:
+            found.setdefault((rectangle.row_indices, rectangle.column_indices), rectangle)
+        ranked = sorted(found.values(), key=lambda r: r.value, reverse=True)
+        return ranked[:limit]
 
 
 def rectangle_value(kcm: KernelCubeMatrix, rows: Sequence[int], cols: set[int]) -> int:
     """Savings estimate: (occurrences - 1) x cost of the shared body."""
     if len(rows) < 2 or len(cols) < 2:
         return 0
-    body_cost = sum(_column_weight(kcm.columns[c]) for c in cols) + (len(cols) - 1)
+    weight = kcm.column_weight
+    body_cost = sum(weight(c) for c in cols) + (len(cols) - 1)
     return (len(rows) - 1) * body_cost
 
 
 def grow_rectangle(kcm: KernelCubeMatrix, seed_column: int) -> Rectangle | None:
-    """Ping-pong growth from a seed column to a locally-best prime rectangle."""
+    """Ping-pong growth from a seed column to a locally-best prime rectangle.
+
+    Every row it reads contains the seed column.
+    """
     cols = {seed_column}
     rows = kcm.rows_covering(cols)
     if len(rows) < 2:
@@ -214,19 +227,3 @@ def grow_rectangle(kcm: KernelCubeMatrix, seed_column: int) -> Rectangle | None:
         return None
     rows_out, cols_out = best
     return Rectangle(tuple(sorted(rows_out)), tuple(sorted(cols_out)), best_value)
-
-
-def best_rectangles(
-    kcm: KernelCubeMatrix, limit: int = 8
-) -> list[Rectangle]:
-    """The top prime rectangles by estimated value (deduplicated)."""
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Rectangle] = {}
-    for seed in range(len(kcm.columns)):
-        rectangle = grow_rectangle(kcm, seed)
-        if rectangle is None or rectangle.value <= 0:
-            continue
-        key = (rectangle.row_indices, rectangle.column_indices)
-        if key not in found:
-            found[key] = rectangle
-    ranked = sorted(found.values(), key=lambda r: r.value, reverse=True)
-    return ranked[:limit]

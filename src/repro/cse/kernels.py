@@ -102,10 +102,11 @@ def iter_kernels(poly: Polynomial) -> Iterator[KernelEntry]:
 #: Content-keyed memo of kernel enumerations.  Keys are the *trimmed*
 #: polynomial's (variable names, term set), so the same mathematical
 #: polynomial hits regardless of how many unused block variables pad its
-#: tuple — the CSE extractor re-pads every polynomial each round, and the
-#: combination search re-runs CSE over largely identical rows, so hit
-#: rates are high.  Bounded by wholesale clearing (the entries are cheap
-#: to rebuild and an LRU would put bookkeeping on the hot path).
+#: tuple — the CSE extractor pads its polynomials with reserved block
+#: columns, and the combination search re-runs CSE over largely identical
+#: rows, so hit rates are high.  Bounded by wholesale clearing (the
+#: entries are cheap to rebuild and an LRU would put bookkeeping on the
+#: hot path).
 _KERNEL_CACHE: dict[tuple, tuple[KernelEntry, ...]] = {}
 _KERNEL_CACHE_MAX = 8192
 
@@ -126,6 +127,26 @@ def kernel_cache_size() -> int:
     return len(_KERNEL_CACHE)
 
 
+def trimmed_kernels(
+    poly: Polynomial,
+) -> tuple[tuple[str, ...], tuple[KernelEntry, ...]]:
+    """Every kernel/co-kernel pair over the polynomial's *used* variables.
+
+    Returns ``(used variables, entries)``; the entries' exponent tuples
+    range over the used variables only.  Memoized by content, so the
+    same polynomial hits however many unused variables pad its tuple.
+    """
+    trimmed = poly.trim()
+    key = (trimmed.vars, frozenset(trimmed.terms.items()))
+    cached = _KERNEL_CACHE.get(key)
+    if cached is None:
+        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
+            _KERNEL_CACHE.clear()
+        cached = tuple(iter_kernels(trimmed))
+        _KERNEL_CACHE[key] = cached
+    return trimmed.vars, cached
+
+
 def all_kernels(poly: Polynomial) -> list[KernelEntry]:
     """List of every kernel/co-kernel pair (see :func:`iter_kernels`).
 
@@ -139,20 +160,13 @@ def all_kernels(poly: Polynomial) -> list[KernelEntry]:
     hit = _ALIGNED_CACHE.get(aligned_key)
     if hit is not None:
         return hit
-    trimmed = poly.trim()
-    key = (trimmed.vars, frozenset(trimmed.terms.items()))
-    cached = _KERNEL_CACHE.get(key)
-    if cached is None:
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.clear()
-        cached = tuple(iter_kernels(trimmed))
-        _KERNEL_CACHE[key] = cached
-    if trimmed.vars == poly.vars:
+    used, cached = trimmed_kernels(poly)
+    if used == poly.vars:
         out = list(cached)
     else:
         # Re-express the trimmed enumeration over the caller's variables.
         index_of = {v: i for i, v in enumerate(poly.vars)}
-        positions = [index_of[v] for v in trimmed.vars]
+        positions = [index_of[v] for v in used]
         nvars = len(poly.vars)
         out = []
         for entry in cached:

@@ -46,7 +46,7 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_gcd(a: Exponents, b: Exponents) -> Exponents:
     """Greatest common divisor (exponent-wise minimum)."""
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:

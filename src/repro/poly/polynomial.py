@@ -19,6 +19,7 @@ variables, so ``parse("x+y") * parse("y+z")`` works as expected.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 
@@ -222,12 +223,8 @@ class Polynomial:
     def used_vars(self) -> Tuple[str, ...]:
         """Variables with a non-zero exponent somewhere, in declaration order."""
         if self._used is None:
-            used = [False] * len(self._vars)
-            for exps in self._terms:
-                for i, e in enumerate(exps):
-                    if e:
-                        used[i] = True
-            self._used = tuple(v for v, u in zip(self._vars, used) if u)
+            # zip(*terms) walks the exponent matrix column by column.
+            self._used = tuple(compress(self._vars, map(any, zip(*self._terms))))
         return self._used
 
     def max_coeff_magnitude(self) -> int:
@@ -305,9 +302,10 @@ class Polynomial:
             return self
         # Fast path: project each exponent tuple onto the used columns
         # (no renaming can collide, so no coefficient merging is needed).
-        keep = [i for i, v in enumerate(self._vars) if v in set(used)]
+        used_set = set(used)
+        keep = [i for i, v in enumerate(self._vars) if v in used_set]
         new_terms = {
-            tuple(exps[i] for i in keep): coeff
+            tuple(map(exps.__getitem__, keep)): coeff
             for exps, coeff in self._terms.items()
         }
         trimmed = Polynomial._raw(used, new_terms)
