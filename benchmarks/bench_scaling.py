@@ -40,7 +40,7 @@ def test_scaling_window(window, benchmark):
         factor_cse_decomposition(list(system.polys)), system.signature
     )
     _ROWS.append(
-        (window, elapsed, result.combinations_scored, baseline.area, proposed.area)
+        (window, elapsed, result.provenance.combinations_scored, baseline.area, proposed.area)
     )
     assert proposed.area <= baseline.area * 1.0001
 

@@ -1,10 +1,8 @@
-"""Comparison methods: direct, Horner, factorization+CSE [13], and
-Groebner library matching [19]."""
+"""Comparison methods: direct, Horner and factorization+CSE [13]."""
 
 from .direct import direct_decomposition
 from .factor_cse import factor_cse_decomposition
 from .horner import horner_baseline
-from .library_match import library_match_decomposition, match_library
 from .registry import (
     MethodFn,
     available_methods,
@@ -22,8 +20,6 @@ __all__ = [
     "get_method",
     "horner_baseline",
     "is_registered",
-    "library_match_decomposition",
-    "match_library",
     "register_method",
     "unregister_method",
 ]

@@ -2,10 +2,15 @@
 
 :class:`Timings` records, for each phase of Algorithm 7, *how long it
 took* and a few integer counters (representations generated, blocks
-registered, combinations scored, weighted operator deltas); *why* the
-winner was chosen lives in the result's
-:class:`~repro.core.provenance.Provenance`.  The flow never reads the
-timings back, so instrumentation cannot change results.
+registered, combinations scored, weighted operator deltas).  The record
+is the single place the flow writes those integers: the ``search``
+phase's counters are what the result's
+:class:`~repro.core.provenance.Provenance` reports as its search
+telemetry, what the phase's span carries, and what
+:func:`repro.obs.observe_timings` publishes as
+``repro_phase_<counter>_total{phase="search"}``.  *Why* the winner was
+chosen lives in the provenance.  The flow never reads the timings back,
+so instrumentation cannot change results.
 
 The layer is deliberately lightweight — one ``perf_counter`` pair per
 phase — so it stays on by default: every
@@ -59,6 +64,9 @@ class Timings:
     def phase(self, name: str) -> Iterator[_PhaseClock]:
         """Time a phase; the yielded clock collects counters.
 
+        The clock's counter dict becomes the phase record's own, so a
+        view that keeps it reads the record rather than a copy.
+
         >>> timings = Timings()
         >>> with timings.phase("cce") as clock:
         ...     clock.count(representations=3)
@@ -69,7 +77,7 @@ class Timings:
             yield clock
         finally:
             self.phases.append(
-                PhaseTiming(name, time.perf_counter() - start, dict(clock.counters))
+                PhaseTiming(name, time.perf_counter() - start, clock.counters)
             )
 
     def record(self, name: str, seconds: float, **counters: int) -> None:
@@ -89,10 +97,6 @@ class Timings:
     def counter(self, name: str) -> int:
         """Sum of one counter across all phases."""
         return sum(p.counters.get(name, 0) for p in self.phases)
-
-    def merge(self, other: "Timings") -> None:
-        """Append another run's phases (batch-level aggregation)."""
-        self.phases.extend(other.phases)
 
     def summary(self) -> str:
         lines = [f"total: {self.total_seconds() * 1000.0:.2f} ms"]

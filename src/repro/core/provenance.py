@@ -10,17 +10,19 @@ blocks and kernels the winner uses, and every degradation taken — as
 plain data the ``repro explain`` subcommand renders for humans
 (``--format json`` for machines).
 
-The counts here are the *same integers* the run publishes to the
-metrics registry (``repro_search_combos_scored`` /
-``repro_search_memo_hits`` / ``repro_search_pruned`` and the
-``repro_search_dag_*`` family); tests hold the two views to exact
-agreement.
+The search telemetry (combinations scored, memo hits, pruned, the
+``dag_*`` sharing counts and the direct fallback) is not stored here: a
+:class:`Provenance` reads it from the counters of the run's ``search``
+phase record in ``result.timings``, the record the flow writes once and
+:func:`repro.obs.observe_timings` publishes as
+``repro_phase_<counter>_total{phase="search"}``.  So ``repro explain``
+and the metrics registry report the same integers by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
@@ -41,33 +43,67 @@ class ChosenRepresentation:
         }
 
 
-@dataclass
+#: Provenance telemetry attribute -> the ``search`` phase counter it reads.
+SEARCH_COUNTERS: dict[str, str] = {
+    "combinations_scored": "combinations",  # combinations freshly scored
+    "memo_hits": "memo_hits",                # lookups served by the memo
+    "pruned": "pruned",                      # skipped by branch-and-bound
+    # Sharing statistics of the search's expression DAG (all zero when
+    # the run degraded before the search).
+    "dag_nodes": "dag_nodes",                # interned nodes in the run's DAG
+    "dag_intern_hits": "dag_intern_hits",    # requests answered by existing nodes
+    "dag_shared_nodes": "dag_shared_nodes",  # product nodes shared across >= 2 sums
+    "dag_finalists": "dag_finalists",        # combinations lowered through exact CSE
+}
+
+
+def _search_counter(attr: str) -> property:
+    counter = SEARCH_COUNTERS[attr]
+    return property(lambda self: self.search.get(counter, 0))
+
+
+@dataclass(eq=False)
 class Provenance:
-    """The decision record of one synthesis run."""
+    """The decision record of one synthesis run.
+
+    ``search`` is the counter dict of the run's ``search`` phase record
+    (empty when the run degraded before the search); the telemetry
+    attributes below are read from it.  Two records are equal when
+    their :meth:`as_dict` payloads are.
+    """
 
     objective: str = "area"
     search_mode: str = "exhaustive"  # "exhaustive" | "descent" | "degraded"
     search_space: int = 0        # product of representation-list sizes
     search_bound: int = 0        # combinations the search could have scored
-    combinations_scored: int = 0
-    memo_hits: int = 0
-    pruned: int = 0
-    direct_fallback: bool = False  # the flat SOP beat every combination
-    # Sharing statistics of the search's expression DAG (all zero when
-    # the run degraded before the search).
-    dag_nodes: int = 0           # interned nodes in the run's DAG
-    dag_intern_hits: int = 0     # intern requests answered by existing nodes
-    dag_shared_nodes: int = 0    # product nodes shared across >= 2 sums
-    dag_finalists: int = 0       # combinations lowered through exact CSE
+    search: Mapping[str, int] = field(default_factory=dict)
     chosen: list[ChosenRepresentation] = field(default_factory=list)
     blocks: dict[str, str] = field(default_factory=dict)  # name -> definition
     degradations: list[str] = field(default_factory=list)
+
+    combinations_scored = _search_counter("combinations_scored")
+    memo_hits = _search_counter("memo_hits")
+    pruned = _search_counter("pruned")
+    dag_nodes = _search_counter("dag_nodes")
+    dag_intern_hits = _search_counter("dag_intern_hits")
+    dag_shared_nodes = _search_counter("dag_shared_nodes")
+    dag_finalists = _search_counter("dag_finalists")
+
+    @property
+    def direct_fallback(self) -> bool:
+        """Did the flat direct SOP beat every assembled combination?"""
+        return bool(self.search.get("direct_fallback", 0))
 
     @property
     def memo_hit_rate(self) -> float:
         """Fraction of combination lookups served without a fresh scoring."""
         total = self.combinations_scored + self.memo_hits
         return self.memo_hits / total if total else 0.0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Provenance):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -93,19 +129,18 @@ class Provenance:
     def from_dict(cls, data: dict[str, Any]) -> "Provenance":
         if data.get("kind") != "provenance":
             raise ValueError(f"not a provenance payload: {data.get('kind')!r}")
+        search = {
+            counter: int(data.get(attr, 0))
+            for attr, counter in SEARCH_COUNTERS.items()
+        }
+        if data.get("direct_fallback", False):
+            search["direct_fallback"] = 1
         return cls(
             objective=str(data.get("objective", "area")),
             search_mode=str(data.get("search_mode", "exhaustive")),
             search_space=int(data.get("search_space", 0)),
             search_bound=int(data.get("search_bound", 0)),
-            combinations_scored=int(data.get("combinations_scored", 0)),
-            memo_hits=int(data.get("memo_hits", 0)),
-            pruned=int(data.get("pruned", 0)),
-            direct_fallback=bool(data.get("direct_fallback", False)),
-            dag_nodes=int(data.get("dag_nodes", 0)),
-            dag_intern_hits=int(data.get("dag_intern_hits", 0)),
-            dag_shared_nodes=int(data.get("dag_shared_nodes", 0)),
-            dag_finalists=int(data.get("dag_finalists", 0)),
+            search=search,
             chosen=[
                 ChosenRepresentation(
                     polynomial=str(c["polynomial"]),
@@ -125,7 +160,10 @@ def explain_text(result, name: str = "") -> str:
 
     Renders the provenance record: the search's shape and telemetry,
     the chosen representation per polynomial, the blocks/kernels of the
-    winning decomposition, and any degradations taken.
+    winning decomposition, and any degradations taken.  A closing section
+    lists every phase of ``result.timings`` with its seconds and
+    counters, so one report says both why the winner won and where the
+    time went.
     """
     prov = result.provenance
     if prov is None:
@@ -178,4 +216,8 @@ def explain_text(result, name: str = "") -> str:
     if prov.degradations:
         lines.append("degradations:")
         lines.extend(f"  {d}" for d in prov.degradations)
+    timings = result.timings
+    if timings:
+        lines.append(f"phases ({timings.total_seconds() * 1000.0:.2f} ms total):")
+        lines.extend(f"  {phase}" for phase in timings.phases)
     return "\n".join(lines)

@@ -98,7 +98,6 @@ class SynthesisResult:
     representation_lists: list[list[Representation]]
     chosen: tuple[int, ...]
     registry: BlockRegistry
-    combinations_scored: int = 0
     timings: "Timings | None" = None
     degradations: list[Degradation] = field(default_factory=list)
     provenance: "Provenance | None" = None
@@ -422,7 +421,6 @@ def synthesize(
     system: list[Polynomial],
     signature: BitVectorSignature | None = None,
     options: SynthesisOptions | None = None,
-    timings: Timings | None = None,
     budget: Budget | None = None,
     dag: ExpressionDAG | None = None,
 ) -> SynthesisResult:
@@ -430,10 +428,10 @@ def synthesize(
 
     ``signature`` enables the canonical-form representations (without it
     only the integer-exact transformations run).  Per-phase wall times
-    and counters are always collected into a
-    :class:`~repro.core.metrics.Timings` (pass your own to aggregate
-    across calls) and exposed as ``result.timings``; why the winner was
-    chosen is recorded in ``result.provenance``.
+    and counters are always collected into a fresh
+    :class:`~repro.core.metrics.Timings`, exposed as ``result.timings``;
+    why the winner was chosen is recorded in ``result.provenance``, whose
+    search telemetry reads the ``search`` phase's counters.
 
     ``budget`` bounds the run (see :mod:`repro.core.budget` and
     ``docs/ROBUSTNESS.md``): when a phase exceeds its share, the flow
@@ -462,7 +460,7 @@ def synthesize(
     functionally equal over the signature.
     """
     options = options or SynthesisOptions()
-    timings = timings if timings is not None else Timings()
+    timings = Timings()
     tracer = current_tracer()
     deadline = deadline_for(budget)
     degradations: list[Degradation] = []
@@ -493,54 +491,17 @@ def synthesize(
                         system, signature, options, timings, tracer,
                         degradations,
                     )
-        root.count(
-            combinations=result.combinations_scored,
-            ops_final=_weighted(result.op_count, options),
-            ops_initial=_weighted(result.initial_op_count, options),
-            degradations=len(result.degradations),
-        )
+        root.count(degradations=len(result.degradations))
         if result.degradations:
             root.set(degraded=True)
     if tracer.enabled:
+        # The search telemetry reaches the registry once, through the
+        # search phase's counters; the cache gauges are process state.
         observe_timings(timings)
-        _publish_search_metrics(result)
+        registry = get_registry()
+        for name, size in synthesis_cache_sizes().items():
+            registry.gauge(f"repro_search_{name}_size").set(size)
     return result
-
-
-def _publish_search_metrics(result: SynthesisResult) -> None:
-    """Publish one traced run's search telemetry to the global registry.
-
-    The counters carry the *same integers* as ``result.provenance`` —
-    ``repro explain`` and the Prometheus exposition must agree exactly
-    (tests enforce this).
-    """
-    registry = get_registry()
-    provenance = result.provenance
-    if provenance is not None:
-        if provenance.combinations_scored:
-            registry.counter("repro_search_combos_scored").inc(
-                provenance.combinations_scored
-            )
-        if provenance.memo_hits:
-            registry.counter("repro_search_memo_hits").inc(provenance.memo_hits)
-        if provenance.pruned:
-            registry.counter("repro_search_pruned").inc(provenance.pruned)
-        if provenance.dag_nodes:
-            registry.counter("repro_search_dag_nodes").inc(provenance.dag_nodes)
-        if provenance.dag_intern_hits:
-            registry.counter("repro_search_dag_intern_hits").inc(
-                provenance.dag_intern_hits
-            )
-        if provenance.dag_shared_nodes:
-            registry.counter("repro_search_dag_shared_nodes").inc(
-                provenance.dag_shared_nodes
-            )
-        if provenance.dag_finalists:
-            registry.counter("repro_search_dag_finalists").inc(
-                provenance.dag_finalists
-            )
-    for name, size in synthesis_cache_sizes().items():
-        registry.gauge(f"repro_search_{name}_size").set(size)
 
 
 def _degraded_result(
@@ -623,7 +584,6 @@ def _degraded_result(
         representation_lists=lists,
         chosen=tuple(0 for _ in system),
         registry=BlockRegistry(system[0].vars),
-        combinations_scored=0,
         timings=timings,
         degradations=degradations,
         provenance=provenance,
@@ -683,7 +643,6 @@ def _synthesize_flow(
         representation_lists=lists,
         chosen=best_indices,
         registry=registry,
-        combinations_scored=provenance.combinations_scored,
         timings=timings,
         degradations=degradations,
         provenance=provenance,
@@ -977,12 +936,9 @@ def _search_phase(
         best_indices, winner_cost, decomposition = _assemble_finalists(
             finalists, lists, registry, options, signature, cache
         )
-        dag_stats = dag.stats()
-        if emitting:
-            events.emit("dag_stats", **dag_stats.as_dict(), finalists=len(finalists))
+        sharing = dag.stats()
 
         direct = _direct_if_cheaper(system, winner_cost, options, signature)
-        direct_fallback = direct is not None
         if direct is not None:
             decomposition = direct
             clock.count(direct_fallback=1)
@@ -991,6 +947,9 @@ def _search_phase(
             combinations=scored,
             memo_hits=memo_hits,
             pruned=pruned,
+            dag_nodes=sharing.nodes,
+            dag_intern_hits=sharing.intern_hits,
+            dag_shared_nodes=sharing.shared_nodes,
             dag_finalists=len(finalists),
             ops_initial=_weighted(direct_cost(system, options), options),
             ops_final=_weighted(decomposition.op_count(), options),
@@ -1001,14 +960,7 @@ def _search_phase(
         search_mode=search_mode,
         search_space=search_space,
         search_bound=search_bound,
-        combinations_scored=scored,
-        memo_hits=memo_hits,
-        pruned=pruned,
-        direct_fallback=direct_fallback,
-        dag_nodes=dag_stats.nodes,
-        dag_intern_hits=dag_stats.intern_hits,
-        dag_shared_nodes=dag_stats.shared_nodes,
-        dag_finalists=len(finalists),
+        search=clock.counters,
         chosen=[
             ChosenRepresentation(
                 polynomial=str(poly),

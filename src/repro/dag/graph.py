@@ -59,9 +59,10 @@ class DagNode:
 class DagStats:
     """Interning counters of one :class:`ExpressionDAG`.
 
-    The integers a synthesis run copies into its
-    :class:`~repro.core.provenance.Provenance` (and publishes as
-    ``repro_search_dag_*`` metrics — the two views must agree exactly).
+    A synthesis run counts these integers into its ``search`` phase
+    record as ``dag_*`` counters, which its
+    :class:`~repro.core.provenance.Provenance` reads and the metrics
+    registry publishes as ``repro_phase_dag_*_total{phase="search"}``.
     """
 
     nodes: int            # interned nodes of any kind (store size)

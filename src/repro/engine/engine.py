@@ -62,6 +62,7 @@ from repro.obs import (
     current_events,
     current_tracer,
     get_registry,
+    observe_timings,
     use_events,
     use_tracer,
 )
@@ -526,6 +527,7 @@ class BatchEngine:
                     )
                 if spans_data is not None:
                     tracer.adopt(spans_data, tid=index + 1)
+                    _publish_worker_timings(data)
                 if events_data is not None:
                     events.adopt(events_data, job=batch[index].label)
                 payloads[index] = payload
@@ -1085,6 +1087,19 @@ def graceful_shutdown(
     finally:
         for sig, handler in previous.items():
             signal_module.signal(sig, handler)
+
+
+def _publish_worker_timings(data: dict[str, Any]) -> None:
+    """Publish a pool worker's phase metrics to this process's registry.
+
+    A traced ``proposed`` job publishes its phase record through
+    :func:`~repro.obs.observe_timings` in the process that ran it; a
+    pool worker's registry dies with the worker, so the engine publishes
+    the shipped-home timings instead.  In-process jobs published already.
+    """
+    worker = data.get("worker") or {}
+    if data.get("method") == "proposed" and worker.get("pid") != os.getpid():
+        observe_timings(timings_from_dict(data["timings"]))
 
 
 def _decode_result(

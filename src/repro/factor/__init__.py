@@ -7,7 +7,6 @@ and irreducible inputs, and the Horner-form baseline decompositions.
 """
 
 from .factorize import Factorization, factor_polynomial
-from .hensel import zassenhaus_factor
 from .horner import (
     horner_decomposition,
     horner_greedy,
@@ -40,5 +39,4 @@ __all__ = [
     "mignotte_bound",
     "square_free_factorization",
     "square_free_part",
-    "zassenhaus_factor",
 ]

@@ -52,7 +52,6 @@ EVENT_KINDS = frozenset(
         "combo_memo_hit",  # the search served a combination from a memo
         "combo_pruned",    # branch-and-bound skipped a combination
         "dag_finalist",    # the search assembled one shortlisted combination
-        "dag_stats",       # interning statistics at the end of the search
         "kernel_chosen",   # the CSE extractor applied its best candidate
         "block_registered",  # cube/factor exposure registered a block
         "cache_hit",       # engine served a job from the result cache

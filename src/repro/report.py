@@ -15,7 +15,7 @@ from repro.system import PolySystem
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import BatchReport
 
-_METHOD_ORDER = ("direct", "horner", "factor+cse", "library-match", "proposed")
+_METHOD_ORDER = ("direct", "horner", "factor+cse", "proposed")
 
 
 def comparison_rows(

@@ -33,7 +33,7 @@ def _fingerprint(result):
         result.op_count,
         result.initial_op_count,
         result.chosen,
-        result.combinations_scored,
+        result.provenance.combinations_scored,
         tuple(
             tuple(rep.poly for rep in reps) for reps in result.representation_lists
         ),

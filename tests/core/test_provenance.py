@@ -1,10 +1,10 @@
 """Provenance records, the explain report, and the search-telemetry metrics.
 
-The load-bearing contract (the ISSUE's acceptance criterion): the
-integers in a result's :class:`~repro.core.Provenance` and the
-``repro_search_*`` counters published to the metrics registry are the
-*same numbers* — a consumer can cross-check either view against the
-other exactly.
+The load-bearing contract: the search integers in a result's
+:class:`~repro.core.Provenance` are read from the run's ``search`` phase
+record, and the metrics registry publishes that record as
+``repro_phase_<counter>_total{phase="search"}`` — a consumer can
+cross-check either view against the other exactly.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.core import (
     synthesis_cache_sizes,
     synthesize,
 )
+from repro.core.provenance import SEARCH_COUNTERS
 from repro.fuzz import generate_case
 from repro.obs import Tracer, get_registry, use_tracer
 from repro.suite import get_system
@@ -38,6 +39,22 @@ def traced_synthesis(name_or_system, budget=None):
             list(system.polys), system.signature, SynthesisOptions(), budget=budget
         )
     return system, result
+
+
+def search_metric(counter):
+    """The registry's published value of one search-phase counter."""
+    return get_registry().counter(
+        f"repro_phase_{counter}_total", phase="search"
+    ).value
+
+
+def search_metric_names():
+    """Names of every metric the registry holds for the search phase."""
+    return {
+        metric.name
+        for metric in get_registry().collect()
+        if dict(metric.labels).get("phase") == "search"
+    }
 
 
 class TestProvenanceRecord:
@@ -61,9 +78,39 @@ class TestProvenanceRecord:
         assert again == result.provenance
 
     def test_memo_hit_rate(self):
-        prov = Provenance(combinations_scored=3, memo_hits=1)
+        prov = Provenance(search={"combinations": 3, "memo_hits": 1})
         assert prov.memo_hit_rate == 0.25
         assert Provenance().memo_hit_rate == 0.0
+
+    def test_as_dict_key_set(self):
+        """The payload ``repro explain --format json`` prints is pinned."""
+        _, result = traced_synthesis("Table 14.1")
+        assert set(result.provenance.as_dict()) == {
+            "kind",
+            "objective",
+            "search_mode",
+            "search_space",
+            "search_bound",
+            "combinations_scored",
+            "memo_hits",
+            "pruned",
+            "direct_fallback",
+            "dag_nodes",
+            "dag_intern_hits",
+            "dag_shared_nodes",
+            "dag_finalists",
+            "chosen",
+            "blocks",
+            "degradations",
+        }
+
+    def test_telemetry_reads_the_search_phase_record(self):
+        _, result = traced_synthesis("Table 14.1")
+        (record,) = [p for p in result.timings.phases if p.phase == "search"]
+        prov = result.provenance
+        assert prov.search is record.counters
+        for attr, counter in SEARCH_COUNTERS.items():
+            assert getattr(prov, attr) == record.counters[counter]
 
     def test_blocks_capture_winner_definitions(self):
         _, result = traced_synthesis("Table 14.1")
@@ -78,39 +125,17 @@ class TestMetricsAgreement:
         """A gcd-ladder fuzz system whose search memoizes; views must agree."""
         _, result = traced_synthesis(generate_case(0, 29).system)
         prov = result.provenance
-        registry = get_registry()
-        assert (
-            registry.counter("repro_search_combos_scored").value
-            == prov.combinations_scored
-        )
-        assert (
-            registry.counter("repro_search_memo_hits").value == prov.memo_hits
-        )
-        assert registry.counter("repro_search_pruned").value == prov.pruned
+        for attr, counter in SEARCH_COUNTERS.items():
+            assert search_metric(counter) == getattr(prov, attr), attr
         assert prov.memo_hits > 0  # this system's search actually memoizes
 
     def test_dag_counters_match_provenance_exactly(self):
-        """The dag_* counters carry the same integers as the provenance."""
+        """All seven search integers equal the published phase counters."""
         _, result = traced_synthesis("SG 3X2")
         prov = result.provenance
-        registry = get_registry()
-        assert (
-            registry.counter("repro_search_combos_scored").value
-            == prov.combinations_scored
-        )
-        assert registry.counter("repro_search_dag_nodes").value == prov.dag_nodes
-        assert (
-            registry.counter("repro_search_dag_intern_hits").value
-            == prov.dag_intern_hits
-        )
-        assert (
-            registry.counter("repro_search_dag_shared_nodes").value
-            == prov.dag_shared_nodes
-        )
-        assert (
-            registry.counter("repro_search_dag_finalists").value
-            == prov.dag_finalists
-        )
+        for attr, counter in SEARCH_COUNTERS.items():
+            assert search_metric(counter) == getattr(prov, attr), attr
+        assert prov.combinations_scored > 0
         assert prov.dag_nodes > 0
         assert prov.dag_intern_hits > 0
         assert prov.dag_shared_nodes > 0
@@ -127,9 +152,7 @@ class TestMetricsAgreement:
         assert prov.search_mode == "degraded"
         assert prov.dag_nodes == 0
         assert prov.dag_finalists == 0
-        registry = get_registry()
-        assert registry.counter("repro_search_dag_nodes").value == 0
-        assert registry.counter("repro_search_dag_finalists").value == 0
+        assert search_metric_names() == set()
 
     def test_cache_size_gauges_published(self):
         _, _ = traced_synthesis("Table 14.1")
@@ -144,8 +167,7 @@ class TestMetricsAgreement:
         clear_synthesis_caches()
         get_registry().reset()
         synthesize(list(system.polys), system.signature, SynthesisOptions())
-        registry = get_registry()
-        assert registry.counter("repro_search_combos_scored").value == 0
+        assert get_registry().collect() == []
 
 
 class TestExplainReport:
@@ -169,6 +191,13 @@ class TestExplainReport:
         )
         assert f"{prov.dag_shared_nodes} shared across polynomials" in text
         assert f"{prov.dag_finalists} finalist(s) assembled" in text
+
+    def test_text_lists_every_phase(self):
+        system, result = traced_synthesis("SG 3X2")
+        text = explain_text(result, name=system.name)
+        section = text.split("\nphases (", 1)[1].splitlines()[1:]
+        assert section == [f"  {p}" for p in result.timings.phases]
+        assert f"combinations={result.provenance.combinations_scored}" in text
 
     def test_rectangle_text_omits_dag_line(self):
         """A degraded (rectangle-cover baseline) result has no dag line."""

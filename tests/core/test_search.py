@@ -81,7 +81,7 @@ class TestBudget:
         tight = SynthesisOptions(exhaustive_limit=1, descent_budget=5)
         result = synthesize(system, sig, tight)
         # seeds (<= 6) + budgeted descent (<= 5) + initial seed scores
-        assert result.combinations_scored <= 6 + 5 + 1
+        assert result.provenance.combinations_scored <= 6 + 5 + 1
 
     def test_exhaustive_small_system(self):
         system = parse_system(["x^2 + 6*x*y + 9*y^2"])
@@ -89,4 +89,4 @@ class TestBudget:
         result = synthesize(system, sig, SynthesisOptions(exhaustive_limit=1000))
         # One polynomial: the whole list is enumerated, minus combinations
         # the branch-and-bound surrogate prune rules out without scoring.
-        assert 0 < result.combinations_scored <= len(result.representation_lists[0])
+        assert 0 < result.provenance.combinations_scored <= len(result.representation_lists[0])

@@ -3,11 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.factor import factor_squarefree_univariate, zassenhaus_factor
-from repro.factor.hensel import _bezout, _hensel_step, _monicize
+from repro.factor import factor_squarefree_univariate
 from repro.factor.squarefree import is_square_free
 from repro.factor.zp import zp_mul, zp_sub, zp_trim
 from repro.poly import Polynomial, parse_polynomial as P, poly_prod
+from tests.factor.hensel import _bezout, _hensel_step, _monicize, zassenhaus_factor
 
 
 class TestHenselStep:

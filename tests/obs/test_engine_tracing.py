@@ -12,6 +12,7 @@ from repro.obs import (
     chrome_trace,
     chrome_trace_depth,
     event_names,
+    get_registry,
     use_tracer,
     validate_chrome_trace,
 )
@@ -64,6 +65,27 @@ class TestStitching:
         signatures = lambda t: {j.signature() for j in job_subtrees(t)}  # noqa: E731
         assert signatures(serial) == signatures(pooled)
         assert len(signatures(serial)) == len(SYSTEMS)
+
+    def test_pool_run_publishes_the_workers_phase_counters(self):
+        """A pooled batch's registry holds the same phase counters as a
+        serial one: each job's record, published once."""
+
+        def phase_counters(workers):
+            get_registry().reset()
+            _, report = traced_run(workers)
+            published = {
+                (metric.name, metric.labels): metric.value
+                for metric in get_registry().collect()
+                if metric.kind == "counter" and metric.name.startswith("repro_phase_")
+            }
+            return published, report
+
+        serial, _ = phase_counters(workers=1)
+        pooled, report = phase_counters(workers=2)
+        assert pooled == serial
+        combos = sum(r.timings.counter("combinations") for r in report.results)
+        key = ("repro_phase_combinations_total", (("phase", "search"),))
+        assert pooled[key] == combos > 0
 
     def test_cache_hits_marked_not_stitched(self):
         tracer = Tracer()
