@@ -38,7 +38,13 @@ from typing import Iterator
 from repro.cse import eliminate_common_subexpressions
 from repro.dag import ExpressionDAG
 from repro.obs import current_events, current_tracer, get_registry, observe_timings
-from repro.expr import Decomposition, OpCount, expr_from_polynomial, expr_op_count
+from repro.expr import (
+    Decomposition,
+    OpCount,
+    expr_from_polynomial,
+    expr_op_count,
+    sop_op_count,
+)
 from repro.expr.ast import Add, BlockRef, Expr, Mul, Pow, Var
 from repro.factor import horner_greedy
 from repro.poly import Polynomial
@@ -199,17 +205,21 @@ def synthesis_cache_sizes() -> dict[str, int]:
 
 
 def best_expression(poly: Polynomial) -> Expr:
-    """The cheaper of the direct SOP and the greedy Horner form."""
+    """The cheaper of the direct SOP and the greedy Horner form.
+
+    The direct form is priced from the terms (:func:`sop_op_count`) and
+    only built when it wins.
+    """
     trimmed = poly.trim()
     key = (trimmed.vars, frozenset(trimmed.terms.items()))
     hit = _BEST_EXPR_CACHE.get(key)
     if hit is not None:
         return hit
-    direct = expr_from_polynomial(poly)
     horner = horner_greedy(poly)
-    best = direct
-    if _op_weight(expr_op_count(horner)) < _op_weight(expr_op_count(direct)):
+    if _op_weight(expr_op_count(horner)) < _op_weight(sop_op_count(poly)):
         best = horner
+    else:
+        best = expr_from_polynomial(poly)
     if len(_BEST_EXPR_CACHE) >= _BEST_EXPR_CACHE_MAX:
         _BEST_EXPR_CACHE.clear()
     _BEST_EXPR_CACHE[key] = best
@@ -301,6 +311,7 @@ def _score(
 
 def _dag_score(
     chosen: list[Representation],
+    live: list[str],
     registry: BlockRegistry,
     options: SynthesisOptions,
     dag: ExpressionDAG,
@@ -308,17 +319,16 @@ def _dag_score(
     """Score one combination on the shared expression DAG.
 
     The rows are the same ones :func:`assemble_decomposition` would CSE
-    — the chosen representations plus the live block closure — but
-    instead of a greedy extraction run, the cost is a union of interned
-    node sets: every distinct product node is paid exactly once (the
-    operator count a DAG lowering realizes), with per-node costs
-    memoized inside the DAG.  Re-scoring a neighbouring combination
-    therefore only pays for rows the DAG has not seen yet.
+    — the chosen representations plus their live block closure ``live``
+    (block names in definition order) — but instead of a greedy
+    extraction run, the cost is a union of interned node sets: every
+    distinct product node is paid exactly once (the operator count a DAG
+    lowering realizes), with per-node costs memoized inside the DAG.
+    Re-scoring a neighbouring combination therefore only pays for rows
+    the DAG has not seen yet.
     """
-    polys = [rep.poly for rep in chosen]
     defs = registry.defs
-    live = _live_closure(polys, defs)
-    roots = [dag.intern(p) for p in polys]
+    roots = [dag.intern(rep.poly) for rep in chosen]
     roots.extend(dag.intern(defs[name]) for name in live)
     return float(
         dag.combination_cost(
@@ -351,24 +361,31 @@ def _standalone_weight(poly: Polynomial, registry: BlockRegistry) -> int:
     (shared blocks are double-counted across candidates, which is fine
     for a relative ranking).
     """
+    return _standalone_price(poly, registry.defs)[0]
+
+
+def _standalone_price(
+    poly: Polynomial, defs: dict[str, Polynomial]
+) -> tuple[int, set[str]]:
+    """:func:`_standalone_weight` and the block closure it walked."""
     total = 0
     seen: set[str] = set()
     frontier = [poly]
     while frontier:
         current = frontier.pop()
-        total += _op_weight(expr_op_count(expr_from_polynomial(current)))
+        total += _op_weight(sop_op_count(current))
         for var in current.used_vars():
-            if var in registry.defs and var not in seen:
+            if var in defs and var not in seen:
                 seen.add(var)
-                frontier.append(registry.defs[var])
-    return total
+                frontier.append(defs[var])
+    return total, seen
 
 
 def direct_cost(system: list[Polynomial], options: SynthesisOptions) -> OpCount:
     """Cost of the naive expanded implementation (the paper's C_initial base)."""
     total = OpCount()
     for poly in system:
-        total = total + expr_op_count(expr_from_polynomial(poly))
+        total = total + sop_op_count(poly)
     return total
 
 
@@ -624,9 +641,9 @@ def _synthesize_flow(
     _refine_phase(phase, registry, options)
     if options.enable_division:
         _division_phase(phase, system, lists, registry, options)
-    lists = _prune_phase(phase, lists, registry, options)
+    lists, prices = _prune_phase(phase, lists, registry, options)
     best_indices, decomposition, provenance = _search_phase(
-        phase, system, signature, lists, registry, options, deadline,
+        phase, system, signature, lists, prices, registry, options, deadline,
         degradations, dag if dag is not None else ExpressionDAG(),
     )
     with phase("validate"):
@@ -811,27 +828,30 @@ def _prune_phase(
     lists: list[list[Representation]],
     registry: BlockRegistry,
     options: SynthesisOptions,
-) -> list[list[Representation]]:
+) -> tuple[list[list[Representation]], list[list[tuple[int, set[str]]]]]:
     """Dedupe each list and keep the cheapest few (always keep original).
 
     After the dedupe no two members of one list have equal polynomials,
     so distinct index tuples always select distinct rows in the search.
+    Returns the kept lists and, parallel to them, each kept
+    representation's :func:`_standalone_price`, which the search reuses.
     """
     with phase("prune") as clock:
         before_reps = sum(len(reps) for reps in lists)
         pruned: list[list[Representation]] = []
+        pruned_prices: list[list[tuple[int, set[str]]]] = []
         for reps in lists:
             reps = dedupe_representations(reps)
-            scored = sorted(
-                reps, key=lambda r: _standalone_weight(r.poly, registry)
-            )
-            keep = scored[: options.max_representations]
-            if reps[0] not in keep:
-                keep.append(reps[0])
-            pruned.append(keep)
+            prices = [_standalone_price(rep.poly, registry.defs) for rep in reps]
+            ranked = sorted(range(len(reps)), key=lambda k: prices[k][0])
+            keep = ranked[: options.max_representations]
+            if 0 not in keep:
+                keep.append(0)
+            pruned.append([reps[k] for k in keep])
+            pruned_prices.append([prices[k] for k in keep])
         after_reps = sum(len(reps) for reps in pruned)
         clock.count(representations=after_reps, dropped=before_reps - after_reps)
-    return pruned
+    return pruned, pruned_prices
 
 
 def _search_phase(
@@ -839,6 +859,7 @@ def _search_phase(
     system: list[Polynomial],
     signature: BitVectorSignature | None,
     lists: list[list[Representation]],
+    prices: list[list[tuple[int, set[str]]]],
     registry: BlockRegistry,
     options: SynthesisOptions,
     deadline,
@@ -850,8 +871,9 @@ def _search_phase(
     Every combination is scored on the shared expression DAG (cheap set
     unions over interned nodes); only a shortlist of finalists is then
     assembled through the exact CSE extractor and priced under the
-    objective.  Returns the winner's indices, its decomposition and the
-    run's provenance record.
+    objective.  ``prices`` holds each representation's standalone weight
+    and block closure, as the prune phase computed them.  Returns the
+    winner's indices, its decomposition and the run's provenance record.
     """
     cache: dict[tuple[int, ...], float] = {}
     scored = 0
@@ -872,7 +894,12 @@ def _search_phase(
                 events.emit("combo_memo_hit")
             return cost
         chosen = [lists[i][j] for i, j in enumerate(indices)]
-        cost = _dag_score(chosen, registry, options, dag)
+        live: set[int] = set()
+        for i, j in enumerate(indices):
+            live |= closures[i][j]
+        cost = _dag_score(
+            chosen, [names[k] for k in sorted(live)], registry, options, dag
+        )
         cache[indices] = cost
         scored += 1
         if emitting:
@@ -891,10 +918,15 @@ def _search_phase(
 
         # Surrogate weights for the branch-and-bound prune (see
         # _PRUNE_FACTOR): the standalone weighted cost of each
-        # representation, block closure included.
-        weights = [
-            [_standalone_weight(rep.poly, registry) for rep in reps]
-            for reps in lists
+        # representation, block closure included.  A combination's live
+        # blocks are the union of its rows' closures, held as positions
+        # in the registry so that sorting them restores definition order.
+        weights = [[weight for weight, _ in row] for row in prices]
+        names = list(registry.defs)
+        position = {name: k for k, name in enumerate(names)}
+        closures = [
+            [frozenset(position[name] for name in closure) for _, closure in row]
+            for row in prices
         ]
         seeds = _search_seeds(lists, weights)
 

@@ -9,7 +9,8 @@ building blocks.  This subpackage defines that form:
 * :mod:`repro.expr.ast` — the immutable expression nodes and smart
   constructors,
 * :mod:`repro.expr.cost` — MULT/ADD operator counting, the paper's cost
-  estimate (Algorithm 7, line 7),
+  estimate (Algorithm 7, line 7), for built trees and, in closed form,
+  for a polynomial's direct sum-of-products form,
 * :mod:`repro.expr.decomposition` — a system-level decomposition: named
   building blocks plus one expression per output polynomial, with
   validation that expansion reproduces the original system.
@@ -31,7 +32,7 @@ from .ast import (
     make_pow,
 )
 from .balance import expr_depth, tree_height_reduction_gain
-from .cost import OpCount, expr_op_count
+from .cost import OpCount, expr_op_count, sop_op_count
 from .decomposition import Decomposition
 
 __all__ = [
@@ -53,4 +54,5 @@ __all__ = [
     "make_add",
     "make_mul",
     "make_pow",
+    "sop_op_count",
 ]

@@ -14,11 +14,19 @@ reproduce the paper's arithmetic in Table 14.1 / Table 14.2:
 * a :class:`~repro.expr.ast.BlockRef` costs nothing at the point of use —
   the referenced block is implemented once and its cost is accounted for
   by :class:`~repro.expr.decomposition.Decomposition`.
+
+:func:`expr_op_count` counts a built tree (decompositions are real
+trees).  :func:`sop_op_count` prices a polynomial's direct sum-of-products
+form straight from its terms, without building that tree: it is what
+the synthesis flow uses to rank representations, and it always equals
+``expr_op_count(expr_from_polynomial(poly))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.poly import Polynomial
 
 from .ast import Add, BlockRef, Const, Expr, Mul, Pow, Var
 
@@ -100,3 +108,28 @@ def expr_op_count(expr: Expr) -> OpCount:
     if isinstance(expr, Pow):
         return expr_op_count(expr.base) + OpCount(expr.exponent - 1, 0)
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def sop_op_count(poly: Polynomial) -> OpCount:
+    """Operator count of a polynomial's direct sum-of-products form.
+
+    Closed form of ``expr_op_count(expr_from_polynomial(poly))``: a
+    non-constant term ``c * x1^e1 * ... * xk^ek`` costs
+    ``(k - 1) + sum(ei - 1)`` multiplications, i.e. its total degree
+    minus one, plus one constant multiplication when ``c`` is not
+    ``+-1``; a constant term costs nothing.  The sum over the products
+    and the constant term (if any) costs one adder fewer than it has
+    operands.
+    """
+    mul = const_mul = products = constant = 0
+    for exps, coeff in poly.terms.items():
+        degree = sum(exps)
+        if not degree:
+            constant = 1
+            continue
+        products += 1
+        mul += degree - 1
+        if coeff != 1 and coeff != -1:
+            mul += 1
+            const_mul += 1
+    return OpCount(mul, max(products + constant - 1, 0), const_mul)

@@ -1,10 +1,14 @@
 """Tests for the combination-search internals of Poly_Synth."""
 
+import pytest
+
+import repro
 from repro.core import BlockRegistry, SynthesisOptions, synthesize
 from repro.core.representations import Representation
 from repro.core.synth import _search_seeds, _standalone_weight
 from repro.poly import Polynomial, parse_polynomial as P, parse_system
 from repro.rings import BitVectorSignature
+from repro.suite import get_system
 
 
 class TestStandaloneWeight:
@@ -90,3 +94,34 @@ class TestBudget:
         # One polynomial: the whole list is enumerated, minus combinations
         # the branch-and-bound surrogate prune rules out without scoring.
         assert 0 < result.provenance.combinations_scored <= len(result.representation_lists[0])
+
+
+#: The ``search`` phase record of three registered systems, cold, with
+#: default options.  The DAG counters pin which rows the search interns
+#: for each scored combination (the chosen rows plus their block
+#: closure, in definition order), so a change to how a combination's
+#: live blocks are gathered cannot silently change the DAG's traffic.
+SEARCH_RECORDS = {
+    "Table 14.2": dict(
+        combinations=45, memo_hits=0, pruned=0, dag_nodes=180,
+        dag_intern_hits=758, dag_shared_nodes=15, dag_finalists=8,
+        ops_initial=663, ops_final=166,
+    ),
+    "SG 3X2": dict(
+        combinations=95, memo_hits=0, pruned=0, dag_nodes=282,
+        dag_intern_hits=1887, dag_shared_nodes=16, dag_finalists=8,
+        ops_initial=657, ops_final=81,
+    ),
+    "Quad": dict(
+        combinations=121, memo_hits=0, pruned=0, dag_nodes=92,
+        dag_intern_hits=793, dag_shared_nodes=5, dag_finalists=8,
+        ops_initial=150, ops_final=37,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_RECORDS))
+def test_search_record_pinned(name):
+    repro.clear_caches()
+    result = repro.synthesize_system(get_system(name))
+    assert result.provenance.search == SEARCH_RECORDS[name]
