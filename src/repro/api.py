@@ -184,17 +184,10 @@ def compare_methods(
     a :class:`~repro.config.RunConfig`; each method then runs under its
     synthesis options.
 
-    Every method of one comparison receives the same fresh
-    :class:`~repro.dag.ExpressionDAG` via its ``dag=`` keyword, so
-    structure interned by one method (a baseline's rows, the flow's
-    scored combinations) is shared by the next — and the comparison
-    never leaks interned state into the process default DAG.
-
     This drives the Table 14.1 and Table 14.3 reproductions: operator
     counts for the former, area/delay for the latter.
     """
     synth_options = as_run_config(options).options
-    shared_dag = ExpressionDAG()
     outcomes: dict[str, MethodOutcome] = {}
     for method in methods:
         try:
@@ -208,7 +201,7 @@ def compare_methods(
             )
             continue
         outcomes[method] = method_outcome(
-            method, fn(system, synth_options, dag=shared_dag), system, model
+            method, fn(system, synth_options), system, model
         )
     return outcomes
 

@@ -9,57 +9,26 @@ shows up everywhere:
 
 >>> from repro.baselines.registry import register_method
 >>> @register_method("my-method")
-... def my_method(system, options=None, *, dag=None):
+... def my_method(system, options=None):
 ...     ...  # return a Decomposition
 
-A method is a callable ``fn(system, options=None, *, dag=None) ->
-Decomposition``.  ``options`` is a
-:class:`~repro.core.synth.SynthesisOptions` (or ``None`` for defaults);
-``dag`` is a shared :class:`~repro.dag.ExpressionDAG` handle the caller
-may pass so several methods run against one interning store (e.g.
-:func:`repro.api.compare_methods` scores every method of one comparison
-on one DAG).  Baseline methods are free to ignore either.
-
-Methods written against the pre-DAG signature ``fn(system, options)``
-no longer register: the one-release compatibility adapter (which
-wrapped them with a ``DeprecationWarning``) has completed its cycle,
-and registration now raises a ``TypeError`` naming the required
-signature.
+A method is a callable ``fn(system, options=None) -> Decomposition``;
+``options`` is a :class:`~repro.core.synth.SynthesisOptions` (or
+``None`` for defaults), and baseline methods are free to ignore it.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core import SynthesisOptions
-    from repro.dag import ExpressionDAG
     from repro.expr import Decomposition
     from repro.system import PolySystem
 
-#: A synthesis method: PolySystem (+ optional options, shared DAG handle)
-#: -> Decomposition.
+#: A synthesis method: PolySystem (+ optional options) -> Decomposition.
 MethodFn = Callable[..., "Decomposition"]
 
 _METHODS: dict[str, MethodFn] = {}
-
-
-def _accepts_dag(fn: Callable) -> bool:
-    """True when ``fn`` can be called with a ``dag=`` keyword."""
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):  # builtins / C callables: assume modern
-        return True
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if parameter.name == "dag" and parameter.kind in (
-            inspect.Parameter.KEYWORD_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            return True
-    return False
 
 
 def register_method(
@@ -70,18 +39,11 @@ def register_method(
     Usable directly (``register_method("x", fn)``) or as a decorator
     (``@register_method("x")``).  Re-registering an existing name raises
     unless ``replace=True`` — accidental shadowing of a built-in method
-    should be loud.  Methods must accept the ``dag=`` keyword; the
-    pre-DAG two-argument signature is no longer adapted.
+    should be loud.
     """
     def _register(fn: MethodFn) -> MethodFn:
         if not replace and name in _METHODS:
             raise ValueError(f"method {name!r} is already registered")
-        if not _accepts_dag(fn):
-            raise TypeError(
-                f"method {name!r} uses the removed legacy signature "
-                "fn(system, options); declare "
-                "fn(system, options=None, *, dag=None)"
-            )
         _METHODS[name] = fn
         return fn
 
@@ -118,7 +80,7 @@ def is_registered(name: str) -> bool:
 # ----------------------------------------------------------------------
 
 @register_method("direct")
-def _direct(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
+def _direct(system: "PolySystem", options=None) -> "Decomposition":
     """Expanded sum-of-products, no sharing (the paper's C_initial)."""
     from .direct import direct_decomposition
 
@@ -126,7 +88,7 @@ def _direct(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
 
 
 @register_method("horner")
-def _horner(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
+def _horner(system: "PolySystem", options=None) -> "Decomposition":
     """Greedy multivariate Horner forms, per polynomial."""
     from .horner import horner_baseline
 
@@ -135,22 +97,16 @@ def _horner(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
 
 @register_method("factor+cse")
 def _factor_cse(
-    system: "PolySystem", options=None, *, dag=None
+    system: "PolySystem", options=None
 ) -> "Decomposition":
     """Square-free factorization followed by multi-polynomial CSE [13]."""
     from .factor_cse import factor_cse_decomposition
 
-    result = factor_cse_decomposition(list(system.polys))
-    if dag is not None:
-        # Feed the comparison's shared DAG: the baseline's rows intern
-        # here so later methods on the same DAG see the sharing.
-        for poly in system.polys:
-            dag.intern(poly)
-    return result
+    return factor_cse_decomposition(list(system.polys))
 
 
 @register_method("ted")
-def _ted(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
+def _ted(system: "PolySystem", options=None) -> "Decomposition":
     """Taylor expansion diagram lowering (the TED-based related work)."""
     from repro.ted import TedManager, ted_to_expression
 
@@ -161,11 +117,9 @@ def _ted(system: "PolySystem", options=None, *, dag=None) -> "Decomposition":
 
 @register_method("proposed")
 def _proposed(
-    system: "PolySystem", options=None, *, dag=None
+    system: "PolySystem", options=None
 ) -> "Decomposition":
     """The paper's integrated flow (Algorithm 7)."""
     from repro.core import synthesize
 
-    return synthesize(
-        list(system.polys), system.signature, options, dag=dag
-    ).decomposition
+    return synthesize(list(system.polys), system.signature, options).decomposition

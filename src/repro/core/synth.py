@@ -412,26 +412,36 @@ def _phase(
     continues with whatever the phase produced so far.  Non-skippable
     phases let the exception propagate to :func:`synthesize`'s fallback
     ladder.
+
+    A phase that degrades (skipped here, or a partial search) appends its
+    :class:`Degradation` and counts ``degraded=1`` in its record.  The
+    span's ``degraded`` attribute, the ``degradation`` event and
+    ``phase_end``'s ``degraded`` flag are all read from that record when
+    the phase closes.
     """
     events = current_events()
     with tracer.span(name) as span, timings.phase(name) as clock:
         deadline.start_phase(name)
         events.emit("phase_start", name=name)
-        degraded_here = False
         try:
             fault_point(f"phase:{name}")
             yield clock
         except BudgetExceeded as exc:
             if not skippable or degradations is None:
                 raise
-            degraded_here = True
             degradations.append(Degradation(name, "skipped", str(exc)))
-            span.set(degraded=True)
-            events.emit("degradation", phase=name, action="skipped")
+            clock.count(degraded=1)
         finally:
             deadline.end_phase()
             span.count(**clock.counters)
-            events.emit("phase_end", name=name, degraded=degraded_here)
+            degraded = bool(clock.counters.get("degraded"))
+            if degraded:
+                span.set(degraded=True)
+                action = next(
+                    d.action for d in reversed(degradations) if d.phase == name
+                )
+                events.emit("degradation", phase=name, action=action)
+            events.emit("phase_end", name=name, degraded=degraded)
 
 
 def synthesize(
@@ -439,7 +449,6 @@ def synthesize(
     signature: BitVectorSignature | None = None,
     options: SynthesisOptions | None = None,
     budget: Budget | None = None,
-    dag: ExpressionDAG | None = None,
 ) -> SynthesisResult:
     """Run the full integrated flow on a polynomial system.
 
@@ -465,12 +474,10 @@ def synthesize(
     the global metrics registry.  The flow never reads any of this back:
     traced and untraced runs produce identical results.
 
-    The combination search scores every combination on a shared
-    expression DAG and lowers only a shortlist of finalists through the
-    exact CSE extractor.  ``dag`` optionally supplies the
-    :class:`~repro.dag.ExpressionDAG` to score on — by default each run
-    uses a fresh instance so provenance statistics never depend on what
-    else the process interned.
+    The combination search scores every combination on a fresh
+    :class:`~repro.dag.ExpressionDAG` (so its statistics never depend on
+    what else the process interned) and lowers only a shortlist of
+    finalists through the exact CSE extractor.
 
     The returned decomposition is validated: integer-exact outputs must
     expand to the original polynomials, canonical-form outputs must be
@@ -497,7 +504,7 @@ def synthesize(
                 try:
                     result = _synthesize_flow(
                         system, signature, options, timings, tracer,
-                        deadline, degradations, dag,
+                        deadline, degradations,
                     )
                 except BudgetExceeded as exc:
                     degradations.append(Degradation("job", "fallback", str(exc)))
@@ -621,7 +628,6 @@ def _synthesize_flow(
     tracer,
     deadline,
     degradations: list[Degradation],
-    dag: ExpressionDAG | None,
 ) -> SynthesisResult:
     """The phases of Algorithm 7 (see :func:`synthesize` for the contract)."""
     system = Polynomial.unify_all(list(system))
@@ -644,7 +650,7 @@ def _synthesize_flow(
     lists, prices = _prune_phase(phase, lists, registry, options)
     best_indices, decomposition, provenance = _search_phase(
         phase, system, signature, lists, prices, registry, options, deadline,
-        degradations, dag if dag is not None else ExpressionDAG(),
+        degradations,
     )
     with phase("validate"):
         # Validation is a correctness gate, never skipped: it runs with
@@ -864,17 +870,17 @@ def _search_phase(
     options: SynthesisOptions,
     deadline,
     degradations: list[Degradation],
-    dag: ExpressionDAG,
 ) -> tuple[tuple[int, ...], Decomposition, Provenance]:
     """Phase 6: combination search (Fig. 14.1c).
 
-    Every combination is scored on the shared expression DAG (cheap set
+    Every combination is scored on one fresh expression DAG (cheap set
     unions over interned nodes); only a shortlist of finalists is then
     assembled through the exact CSE extractor and priced under the
     objective.  ``prices`` holds each representation's standalone weight
     and block closure, as the prune phase computed them.  Returns the
     winner's indices, its decomposition and the run's provenance record.
     """
+    dag = ExpressionDAG()
     cache: dict[tuple[int, ...], float] = {}
     scored = 0
     memo_hits = 0
@@ -956,7 +962,6 @@ def _search_phase(
             best_indices = min(cache, key=cache.__getitem__)
             degraded_search = True
             degradations.append(Degradation("search", "partial", str(exc)))
-            events.emit("degradation", phase="search", action="partial")
             clock.count(degraded=1)
             # Committed to the partial winner: retrieval and validation
             # below must finish, so enforcement stops here.

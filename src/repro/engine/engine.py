@@ -40,11 +40,11 @@ import os
 import signal as signal_module
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.baselines import get_method
 from repro.config import RunConfig, as_run_config
@@ -84,10 +84,10 @@ from .cache import CACHE_SALT, CacheStats, ResultCache, cache_key
 
 logger = logging.getLogger("repro.engine")
 
-#: How often the pool dispatch loop wakes to poll futures and timeouts.
+#: How often the dispatch loop wakes to poll futures, timeouts and backoffs.
 _POLL_SECONDS = 0.05
 
-#: Minimum gap between ``heartbeat`` events from the dispatch loops, so
+#: Minimum gap between ``heartbeat`` events from the dispatch loop, so
 #: even a quiet batch shows signs of life without flooding the stream.
 _HEARTBEAT_SECONDS = 1.0
 
@@ -398,6 +398,40 @@ def _error_payload(method: str, error: str) -> str:
     )
 
 
+def _incident(
+    span: str, kind: str, work: Callable[[], str] | None = None, **fields: Any
+) -> str | None:
+    """Record one engine incident: a ``kind`` event and a ``span``.
+
+    Both carry ``fields``.  The span is a marker unless ``work`` is
+    given; then the work runs inside it and its result is returned.
+    """
+    events = current_events()
+    if events.enabled:
+        events.emit(kind, **fields)
+    with current_tracer().span(span, **fields):
+        return work() if work is not None else None
+
+
+class _InProcessExecutor:
+    """The dispatch loop's executor when no process pool is used.
+
+    ``submit`` runs the job at once and hands back a finished future, so
+    an in-process job is never in flight across a poll.  Exceptions
+    propagate out of ``submit`` as from a plain call: a
+    ``KeyboardInterrupt`` leaves the batch instead of reading as a
+    broken pool (job errors already come back as error payloads).
+    """
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        pass
+
+
 def _pool_worker(args: tuple[int, str]) -> tuple[int, str]:
     """Top-level (picklable) pool entry point."""
     index, blob = args
@@ -449,7 +483,7 @@ class BatchEngine:
         self._attempts: dict[int, int] = {}
         self._timed_out: set[int] = set()
         # Set by request_stop() (a signal handler or the service's
-        # shutdown): the dispatch loops drain in-flight jobs and cancel
+        # shutdown): the dispatch loop drains in-flight jobs and cancels
         # everything not yet started.  Checking a threading.Event per
         # dispatch iteration is the whole cost of the serving layer on
         # plain batch runs.
@@ -503,10 +537,7 @@ class BatchEngine:
                 if cached is not None:
                     payloads[index] = cached
                     hits[index] = True
-                    with tracer.span("cache_hit", job=batch[index].label):
-                        pass
-                    if events.enabled:
-                        events.emit("cache_hit", job=batch[index].label)
+                    _incident("cache_hit", "cache_hit", job=batch[index].label)
                 else:
                     pending.append(index)
                     if events.enabled:
@@ -611,14 +642,15 @@ class BatchEngine:
         self.last_pool = stats
         if not pending:
             return {}
+        started = time.perf_counter()
         out: dict[int, str] | None = None
         if self.workers > 1 and len(pending) > 1:
             stats.workers = min(self.workers, len(pending))
-            started = time.perf_counter()
             try:
-                out = self._execute_pool(batch, pending)
+                out = self._dispatch(
+                    batch, pending, ProcessPoolExecutor(max_workers=stats.workers)
+                )
                 stats.mode = "pool"
-                stats.pool_seconds = time.perf_counter() - started
             except Exception as exc:
                 # A pool that cannot even run (fork refusal, pickling
                 # issue, broken executor beyond respawn): degrade to
@@ -634,13 +666,12 @@ class BatchEngine:
                     stats.fallback_reason,
                     len(pending),
                 )
-                out = None
+                started = time.perf_counter()
         if out is None:
-            started = time.perf_counter()
-            out = self._execute_serial(batch, pending)
-            stats.pool_seconds = time.perf_counter() - started
+            out = self._dispatch(batch, pending, _InProcessExecutor())
             if stats.mode == "idle":
                 stats.mode = "serial"
+        stats.pool_seconds = time.perf_counter() - started
         stats.jobs_executed = len(out)
         for payload in out.values():
             worker = json.loads(payload).get("worker") or {}
@@ -649,173 +680,88 @@ class BatchEngine:
                 stats.busy_seconds += max(finish - begin, 0.0)
         return out
 
-    # -- shared fault-handling helpers ---------------------------------
-
-    def _cancelled_payload(self, index: int, job: BatchJob) -> str:
-        """Mark one never-started job cancelled by the drain."""
-        self.last_pool.cancelled += 1
-        self._attempts[index] = 0
-        events = current_events()
-        with current_tracer().span("pool/cancelled", job=job.label):
-            pass
-        if events.enabled:
-            events.emit("job_cancelled", job=job.label, reason="shutdown")
-        return _error_payload(
-            job.method, "cancelled: shutdown requested before execution"
-        )
-
-    def _breaker_open(self, job: BatchJob) -> bool:
-        threshold = self.config.retry.breaker_threshold
-        return threshold > 0 and self._breaker.get(job.label, 0) >= threshold
-
     def _note_failure(self, job: BatchJob) -> None:
         self._breaker[job.label] = self._breaker.get(job.label, 0) + 1
-
-    def _note_success(self, job: BatchJob) -> None:
-        self._breaker.pop(job.label, None)
 
     def _degraded_payload(self, job: BatchJob, attempt: int, reason: str) -> str:
         """Rerun one job in-process down the degraded path (see ROBUSTNESS)."""
         self.last_pool.degraded += 1
-        events = current_events()
-        if events.enabled:
-            events.emit(
-                "degradation", phase="pool", action="degraded-rerun",
-                job=job.label, reason=reason,
-            )
-        with current_tracer().span(
-            "pool/degraded", job=job.label, reason=reason
-        ):
-            return _run_job_payload(
+        return _incident(
+            "pool/degraded", "degradation",
+            lambda: _run_job_payload(
                 system_to_dict(job.system),
                 asdict(job.options) if job.options else None,
                 job.method,
                 label=job.label,
                 trace=current_tracer().enabled,
-                events=events.enabled,
+                events=current_events().enabled,
                 config_data=self.config.as_dict(),
                 attempt=attempt,
                 degraded_reason=reason,
-            )
+            ),
+            phase="pool", action="degraded-rerun", job=job.label, reason=reason,
+        )
 
-    def _execute_serial(
-        self, batch: list[BatchJob], pending: list[int]
+    def _dispatch(
+        self,
+        batch: list[BatchJob],
+        pending: list[int],
+        executor: ProcessPoolExecutor | _InProcessExecutor,
     ) -> dict[int, str]:
-        out: dict[int, str] = {}
-        retry = self.config.retry
-        stats = self.last_pool
-        tracer = current_tracer()
-        events = current_events()
-        last_beat = time.monotonic()
-        for index in pending:
-            job = batch[index]
-            if self._stop.is_set():
-                out[index] = self._cancelled_payload(index, job)
-                continue
-            if events.enabled:
-                now = time.monotonic()
-                if now - last_beat >= _HEARTBEAT_SECONDS:
-                    last_beat = now
-                    events.emit(
-                        "heartbeat", done=len(out), inflight=1,
-                        pending=len(pending) - len(out),
-                    )
-            if self._breaker_open(job):
-                with tracer.span("pool/breaker", job=job.label):
-                    pass
-                if events.enabled:
-                    events.emit(
-                        "breaker", job=job.label,
-                        failures=self._breaker[job.label],
-                    )
-                self._attempts[index] = 1
-                out[index] = self._degraded_payload(
-                    job,
-                    attempt=retry.max_retries + 1,
-                    reason=(
-                        f"circuit breaker open after "
-                        f"{self._breaker[job.label]} consecutive failure(s)"
-                    ),
-                )
-                continue
-            attempt = 0
-            while True:
-                self._attempts[index] = attempt + 1
-                _, payload = _pool_worker(
-                    (index, self._job_blob(job, attempt))
-                )
-                if json.loads(payload).get("error") is None:
-                    self._note_success(job)
-                    break
-                self._note_failure(job)
-                if attempt >= retry.max_retries or self._stop.is_set():
-                    break
-                attempt += 1
-                stats.retries += 1
-                with tracer.span("pool/retry", job=job.label, attempt=attempt):
-                    pass
-                if events.enabled:
-                    events.emit("retry", job=job.label, attempt=attempt)
-                time.sleep(retry.delay(attempt, job.label))
-            out[index] = payload
-        return out
+        """The dispatch loop: breaker, retries, drain, timeouts, respawn.
 
-    def _execute_pool(
-        self, batch: list[BatchJob], pending: list[int]
-    ) -> dict[int, str]:
-        """Pooled execution with timeouts, retries, respawn, and breaking.
+        Serial, pooled and pool-fallback batches all run here; only the
+        executor differs.  Submission uses a *sliding window* of at most
+        ``max_workers`` in-flight jobs (one for the in-process executor),
+        so a job's submit time is (within one poll tick) its start time
+        and the hard per-job timeout can be measured from submission.
+        The loop:
 
-        Submission uses a *sliding window* of at most ``max_workers``
-        in-flight jobs, so a job's submit time is (within one poll tick)
-        its start time and the hard per-job timeout can be measured from
-        submission.  The loop:
-
-        1. fills the window with eligible work (backoff delays gate
-           re-submissions),
-        2. waits briefly for completions; successful payloads are
+        1. cancels every job not yet submitted once a drain is requested
+           — including a failed job backing off before its retry,
+        2. fills the window with eligible work (backoff delays gate
+           re-submissions, so a backing-off job never blocks later
+           ones); a job whose label has tripped the circuit breaker is
+           routed to the degraded path at its first submission instead,
+        3. waits briefly for completions; successful payloads are
            accepted, failing ones are requeued with backoff until
            ``max_retries`` is exhausted,
-        3. a broken pool (a worker crashed hard) is respawned and every
+        4. a broken pool (a worker crashed hard) is respawned and every
            lost in-flight job retried at the next attempt,
-        4. in-flight jobs over ``job_timeout_seconds`` get the pool's
+        5. in-flight jobs over ``job_timeout_seconds`` get the pool's
            workers killed; the hung jobs are rerun in-process down the
            degraded path, innocent casualties are requeued at the *same*
            attempt.
+
+        The in-process executor finishes each job inside ``submit``, so
+        no job of it is ever in flight across a poll: steps 4 and 5 are
+        pool-only by construction.
         """
         out: dict[int, str] = {}
         stats = self.last_pool
         retry = self.config.retry
-        tracer = current_tracer()
         events = current_events()
         wait_histogram = get_registry().histogram("repro_pool_queue_wait_seconds")
-        max_workers = min(self.workers, len(pending))
+        max_workers = stats.workers
 
-        ready: list[tuple[int, int]] = []  # (job index, attempt)
-        for index in pending:
-            job = batch[index]
-            if self._breaker_open(job):
-                with tracer.span("pool/breaker", job=job.label):
-                    pass
-                if events.enabled:
-                    events.emit(
-                        "breaker", job=job.label,
-                        failures=self._breaker[job.label],
-                    )
-                self._attempts[index] = 1
-                out[index] = self._degraded_payload(
-                    job,
-                    attempt=retry.max_retries + 1,
-                    reason=(
-                        f"circuit breaker open after "
-                        f"{self._breaker[job.label]} consecutive failure(s)"
-                    ),
-                )
-                continue
-            ready.append((index, 0))
-
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        ready: list[tuple[int, int]] = [(index, 0) for index in pending]
         inflight: dict[Any, tuple[int, int, float]] = {}
         not_before: dict[int, float] = {}
+
+        def requeue(index: int, attempt: int, **why: Any) -> bool:
+            """Schedule a failed attempt's retry; False once retries run out."""
+            job = batch[index]
+            self._note_failure(job)
+            if attempt >= retry.max_retries:
+                return False
+            stats.retries += 1
+            _incident(
+                "pool/retry", "retry", job=job.label, attempt=attempt + 1, **why
+            )
+            not_before[index] = time.time() + retry.delay(attempt + 1, job.label)
+            ready.append((index, attempt + 1))
+            return True
+
         last_beat = time.monotonic()
         try:
             while ready or inflight:
@@ -823,12 +769,18 @@ class BatchEngine:
                     # Drain: cancel everything not yet submitted; the
                     # loop keeps waiting on the in-flight window below.
                     for index, _attempt in ready:
-                        out[index] = self._cancelled_payload(
-                            index, batch[index]
+                        job = batch[index]
+                        stats.cancelled += 1
+                        self._attempts[index] = 0
+                        _incident(
+                            "pool/cancelled", "job_cancelled",
+                            job=job.label, reason="shutdown",
+                        )
+                        out[index] = _error_payload(
+                            job.method,
+                            "cancelled: shutdown requested before execution",
                         )
                     ready.clear()
-                    if not inflight:
-                        break
                 if events.enabled:
                     beat_now = time.monotonic()
                     if beat_now - last_beat >= _HEARTBEAT_SECONDS:
@@ -846,18 +798,37 @@ class BatchEngine:
                     if not_before.get(index, 0.0) > now:
                         continue
                     ready.remove(item)
+                    job = batch[index]
                     self._attempts[index] = attempt + 1
-                    future = pool.submit(
-                        _pool_worker, (index, self._job_blob(batch[index], attempt))
+                    threshold = retry.breaker_threshold
+                    failures = self._breaker.get(job.label, 0)
+                    if attempt == 0 and 0 < threshold <= failures:
+                        _incident(
+                            "pool/breaker", "breaker",
+                            job=job.label, failures=failures,
+                        )
+                        out[index] = self._degraded_payload(
+                            job,
+                            attempt=retry.max_retries + 1,
+                            reason=(
+                                f"circuit breaker open after "
+                                f"{failures} consecutive failure(s)"
+                            ),
+                        )
+                        continue
+                    submitted = time.time()
+                    future = executor.submit(
+                        _pool_worker, (index, self._job_blob(job, attempt))
                     )
-                    inflight[future] = (index, attempt, time.time())
+                    inflight[future] = (index, attempt, submitted)
                 if not inflight:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest eligibility and try again.
-                    pause = min(
-                        not_before.get(index, 0.0) for index, _ in ready
-                    ) - time.time()
-                    time.sleep(min(max(pause, 0.0), _POLL_SECONDS))
+                    if ready:
+                        # Everything runnable is backing off; sleep to
+                        # the earliest eligibility and try again.
+                        pause = min(
+                            not_before.get(index, 0.0) for index, _ in ready
+                        ) - time.time()
+                        time.sleep(min(max(pause, 0.0), _POLL_SECONDS))
                     continue
 
                 done, _ = futures_wait(
@@ -878,24 +849,10 @@ class BatchEngine:
                     _, payload = future.result()
                     data = json.loads(payload)
                     if data.get("error") is not None:
-                        self._note_failure(job)
-                        if attempt < retry.max_retries:
-                            stats.retries += 1
-                            with tracer.span(
-                                "pool/retry", job=job.label, attempt=attempt + 1
-                            ):
-                                pass
-                            if events.enabled:
-                                events.emit(
-                                    "retry", job=job.label, attempt=attempt + 1
-                                )
-                            not_before[index] = time.time() + retry.delay(
-                                attempt + 1, job.label
-                            )
-                            ready.append((index, attempt + 1))
+                        if requeue(index, attempt):
                             continue
                     else:
-                        self._note_success(job)
+                        self._breaker.pop(job.label, None)
                     out[index] = payload
                     worker = data.get("worker") or {}
                     started_wall = worker.get("start_wall")
@@ -919,28 +876,11 @@ class BatchEngine:
                         f"{type(broken).__name__}: {broken}",
                         len(inflight),
                     )
-                    pool = self._respawn(pool, max_workers)
+                    executor = self._respawn(executor, max_workers)
                     for index, attempt, _ in inflight.values():
-                        job = batch[index]
-                        self._note_failure(job)
-                        if attempt < retry.max_retries:
-                            stats.retries += 1
-                            with tracer.span(
-                                "pool/retry", job=job.label, attempt=attempt + 1
-                            ):
-                                pass
-                            if events.enabled:
-                                events.emit(
-                                    "retry", job=job.label,
-                                    attempt=attempt + 1, crashed=True,
-                                )
-                            not_before[index] = time.time() + retry.delay(
-                                attempt + 1, job.label
-                            )
-                            ready.append((index, attempt + 1))
-                        else:
+                        if not requeue(index, attempt, crashed=True):
                             out[index] = _error_payload(
-                                job.method,
+                                batch[index].method,
                                 f"worker crashed "
                                 f"({type(broken).__name__}: {broken}); "
                                 f"retries exhausted after "
@@ -972,36 +912,31 @@ class BatchEngine:
                             sorted(batch[i].label for i in hung_indices),
                             retry.job_timeout_seconds,
                         )
-                        pool = self._respawn(pool, max_workers, kill=True)
+                        executor = self._respawn(executor, max_workers, kill=True)
                         for index, attempt, _ in inflight.values():
                             job = batch[index]
-                            if index in hung_indices:
-                                with tracer.span(
-                                    "pool/timeout", job=job.label
-                                ):
-                                    pass
-                                if events.enabled:
-                                    events.emit(
-                                        "timeout", job=job.label,
-                                        seconds=retry.job_timeout_seconds,
-                                    )
-                                self._note_failure(job)
-                                self._timed_out.add(index)
-                                self._attempts[index] = attempt + 2
-                                out[index] = self._degraded_payload(
-                                    job,
-                                    attempt=attempt + 1,
-                                    reason=(
-                                        f"hard pool timeout of "
-                                        f"{retry.job_timeout_seconds}s "
-                                        f"exceeded; worker killed"
-                                    ),
-                                )
-                            else:
+                            if index not in hung_indices:
                                 ready.append((index, attempt))
+                                continue
+                            _incident(
+                                "pool/timeout", "timeout", job=job.label,
+                                seconds=retry.job_timeout_seconds,
+                            )
+                            self._note_failure(job)
+                            self._timed_out.add(index)
+                            self._attempts[index] = attempt + 2
+                            out[index] = self._degraded_payload(
+                                job,
+                                attempt=attempt + 1,
+                                reason=(
+                                    f"hard pool timeout of "
+                                    f"{retry.job_timeout_seconds}s "
+                                    f"exceeded; worker killed"
+                                ),
+                            )
                         inflight.clear()
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
         return out
 
     @staticmethod

@@ -25,7 +25,7 @@ def scratch_method():
     """Register a throwaway method, always unregistered afterwards."""
     name = "test-scratch"
 
-    def fn(system, options=None, *, dag=None):
+    def fn(system, options=None):
         """A scratch method (direct decomposition in disguise)."""
         return direct_decomposition(list(system.polys))
 
@@ -49,7 +49,7 @@ class TestRegistry:
             register_method(scratch_method, lambda s, o=None: None)
 
     def test_replace_allows_override(self, scratch_method):
-        def replacement(system, options=None, *, dag=None):
+        def replacement(system, options=None):
             return direct_decomposition(list(system.polys))
 
         register_method(scratch_method, replacement, replace=True)
@@ -57,24 +57,13 @@ class TestRegistry:
 
     def test_decorator_form(self):
         @register_method("test-decorated")
-        def decorated(system, options=None, *, dag=None):
+        def decorated(system, options=None):
             return direct_decomposition(list(system.polys))
 
         try:
             assert is_registered("test-decorated")
         finally:
             unregister_method("test-decorated")
-
-    def test_legacy_signature_rejected(self):
-        def legacy(system, options=None):
-            return direct_decomposition(list(system.polys))
-
-        # The one-release adapter for the pre-DAG signature is gone:
-        # registration fails loudly, naming the required signature, and
-        # leaves the registry untouched.
-        with pytest.raises(TypeError, match="removed legacy signature"):
-            register_method("test-legacy", legacy)
-        assert not is_registered("test-legacy")
 
     def test_var_keyword_methods_are_not_wrapped(self):
         def flexible(system, options=None, **kwargs):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import repro.core.synth as synth_module
 from repro.core import synthesize
 from repro.core.budget import (
     CHECK_STRIDE,
@@ -16,6 +17,7 @@ from repro.core.budget import (
     deadline_for,
     use_deadline,
 )
+from repro.obs import EventStream, Tracer, use_events, use_tracer
 from repro.suite import get_system, random_system
 from repro.verify import check_systems
 
@@ -194,3 +196,59 @@ class TestGracefulDegradation:
             budget=Budget(job_seconds=0.0),
         )
         assert "degradations:" in result.summary()
+
+
+class TestDegradedPhaseRecord:
+    """A degraded phase's record drives its span and its events."""
+
+    def _run_traced(self, name="Quad"):
+        system = get_system(name)
+        tracer, stream = Tracer(), EventStream()
+        with use_tracer(tracer), use_events(stream):
+            result = synthesize(list(system.polys), system.signature)
+        return result, tracer, stream
+
+    def _assert_degraded(self, phase, action, result, tracer, stream):
+        assert Degradation.from_dict(
+            {"phase": phase, "action": action, "reason": "test budget"}
+        ) in result.degradations
+        [record] = [p for p in result.timings.phases if p.phase == phase]
+        assert record.counters["degraded"] == 1
+        [root] = tracer.roots
+        span = root.find(phase)
+        assert span.counters["degraded"] == 1
+        assert span.attrs["degraded"] is True
+        events = stream.events
+        assert [
+            e.data for e in events
+            if e.kind == "degradation" and e.data["phase"] == phase
+        ] == [{"phase": phase, "action": action}]
+        [end] = [
+            e for e in events if e.kind == "phase_end" and e.data["name"] == phase
+        ]
+        assert end.data["degraded"] is True
+
+    def test_skipped_phase(self, monkeypatch):
+        def over_budget(rep, registry):
+            raise BudgetExceeded("test budget", site="cce")
+
+        monkeypatch.setattr(synth_module, "cce_representation", over_budget)
+        result, tracer, stream = self._run_traced()
+        self._assert_degraded("cce", "skipped", result, tracer, stream)
+        # Phases that ran in full stay clean.
+        ends = [e for e in stream.events if e.kind == "phase_end"]
+        assert [e.data["name"] for e in ends if e.data["degraded"]] == ["cce"]
+
+    def test_partial_search(self, monkeypatch):
+        score = synth_module._dag_score
+        calls = []
+
+        def over_budget_after_one(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise BudgetExceeded("test budget", site="search")
+            return score(*args)
+
+        monkeypatch.setattr(synth_module, "_dag_score", over_budget_after_one)
+        result, tracer, stream = self._run_traced()
+        self._assert_degraded("search", "partial", result, tracer, stream)

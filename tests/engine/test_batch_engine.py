@@ -75,20 +75,22 @@ class TestParallel:
             assert dumps(a.decomposition) == dumps(b.decomposition)
 
     def test_pool_failure_falls_back_in_process(self, monkeypatch):
-        def broken_pool(self, batch, pending):
+        def broken_pool(*args, **kwargs):
             raise OSError("no forks today")
 
-        monkeypatch.setattr(BatchEngine, "_execute_pool", broken_pool)
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", broken_pool)
         report = BatchEngine(RunConfig(workers=4)).run(jobs_for(["Table 14.1", "Table 14.2"]))
         assert all(r.ok for r in report.results)
+        assert report.pool.mode == "fallback"
 
     def test_workers_one_never_pools(self, monkeypatch):
-        def explode(self, batch, pending):
+        def explode(*args, **kwargs):
             raise AssertionError("pool used with workers=1")
 
-        monkeypatch.setattr(BatchEngine, "_execute_pool", explode)
-        report = BatchEngine(RunConfig(workers=1)).run(jobs_for(["Table 14.1"]))
-        assert report.results[0].ok
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", explode)
+        report = BatchEngine(RunConfig(workers=1)).run(jobs_for())
+        assert all(r.ok for r in report.results)
+        assert report.pool.mode == "serial"
 
 
 class TestReport:

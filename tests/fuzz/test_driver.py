@@ -124,7 +124,7 @@ class TestSkipAndCrash:
             unregister_method(name)
 
     def test_unsupported_is_a_skip_not_a_finding(self, temp_method):
-        def refuses(system, options=None, *, dag=None):
+        def refuses(system, options=None):
             raise Unsupported("refuses", "test-only input class")
 
         temp_method("refuses", refuses)
@@ -135,7 +135,7 @@ class TestSkipAndCrash:
         assert report.methods_run == 2  # only direct actually ran
 
     def test_other_exceptions_are_crash_findings(self, temp_method):
-        def explodes(system, options=None, *, dag=None):
+        def explodes(system, options=None):
             raise RuntimeError("kaboom")
 
         temp_method("explodes", explodes)

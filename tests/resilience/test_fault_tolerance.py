@@ -4,9 +4,12 @@ Faults are injected deterministically through ``REPRO_FAULTS``
 (:mod:`repro.testing.faults`); the environment variable is inherited by
 pool workers, so injected crashes and hangs happen inside real child
 processes.  ``crash`` faults are only ever used with pooled engines —
-in serial mode they would kill the test process itself.
+in serial mode they would kill the test process itself.  Every scenario
+that is safe in-process runs under both modes (``tests/engine/modes.py``)
+and must come out the same.
 """
 
+import json
 import time
 
 import pytest
@@ -18,12 +21,19 @@ from repro.suite import get_system
 from repro.testing import ENV_VAR
 from repro.verify import check_systems
 
+from tests.engine.modes import in_both_modes
+
 #: Fast backoff so retry tests do not sleep for real.
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_seconds=0.01, jitter=0.0)
 
 
 def job(name, system="Quad", method="proposed"):
     return BatchJob(system=get_system(system), method=method, name=name)
+
+
+def started(result):
+    """Wall-clock start of the execution that produced ``result``."""
+    return json.loads(result.payload)["worker"]["start_wall"]
 
 
 class TestCrashRetry:
@@ -51,35 +61,107 @@ class TestCrashRetry:
 class TestRetriesExhausted:
     def test_error_preserved_when_retries_run_out(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "raise@job:doomed:attempts=99,message=kaboom")
-        engine = BatchEngine(
-            RunConfig(retry=RetryPolicy(max_retries=1, backoff_seconds=0.01))
-        )
-        report = engine.run([job("doomed")])
-        (result,) = report.results
-        assert result.ok is False
-        assert "InjectedFault" in result.error and "kaboom" in result.error
-        assert result.attempts == 2  # first try + one retry
-        assert report.retries == 1
+
+        def scenario(workers):
+            engine = BatchEngine(
+                RunConfig(
+                    workers=workers,
+                    retry=RetryPolicy(max_retries=1, backoff_seconds=0.01),
+                )
+            )
+            report = engine.run([job("doomed"), job("fine", "MVCS")])
+            doomed, fine = report.results
+            assert doomed.ok is False
+            assert "InjectedFault" in doomed.error and "kaboom" in doomed.error
+            assert doomed.attempts == 2  # first try + one retry
+            assert fine.ok and fine.attempts == 1
+            assert report.retries == 1
+            return report
+
+        in_both_modes(scenario)
 
     def test_transient_failure_recovers_in_serial_mode(self, monkeypatch):
+        # ...and pooled: both modes run the same dispatch loop.
         monkeypatch.setenv(ENV_VAR, "raise@job:flaky")  # attempt 0 only
-        engine = BatchEngine(RunConfig(retry=FAST_RETRY))
-        report = engine.run([job("flaky")])
-        (result,) = report.results
-        assert result.ok
-        assert result.attempts == 2
-        assert report.retries == 1
+
+        def scenario(workers):
+            engine = BatchEngine(RunConfig(workers=workers, retry=FAST_RETRY))
+            report = engine.run([job("flaky"), job("fine", "MVCS")])
+            flaky, fine = report.results
+            assert flaky.ok and fine.ok
+            assert flaky.attempts == 2
+            assert report.retries == 1
+            return report
+
+        in_both_modes(scenario)
 
     def test_errors_are_not_cached(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "raise@job:doomed:attempts=99")
-        engine = BatchEngine(
-            RunConfig(retry=RetryPolicy(max_retries=0, breaker_threshold=0))
+        def scenario(workers):
+            monkeypatch.setenv(ENV_VAR, "raise@job:doomed:attempts=99")
+            engine = BatchEngine(
+                RunConfig(
+                    workers=workers,
+                    retry=RetryPolicy(max_retries=0, breaker_threshold=0),
+                )
+            )
+            first = engine.run([job("doomed"), job("fine", "MVCS")])
+            assert not first.results[0].ok
+            monkeypatch.delenv(ENV_VAR)
+            report = engine.run([job("doomed"), job("other", "Mixer", "horner")])
+            assert all(r.ok for r in report.results)
+            assert report.cache_hits == 0  # the failure was never stored
+            return report
+
+        in_both_modes(scenario)
+
+
+class TestDispatchRules:
+    """The rules the one dispatch loop applies in both modes."""
+
+    def test_backoff_does_not_block_later_jobs(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "raise@job:flaky")  # attempt 0 only
+        slow_retry = RetryPolicy(max_retries=1, backoff_seconds=1.0, jitter=0.0)
+
+        def scenario(workers):
+            engine = BatchEngine(RunConfig(workers=workers, retry=slow_retry))
+            report = engine.run(
+                [job("flaky"), job("b", "MVCS"), job("c", "Mixer", "horner")]
+            )
+            assert all(r.ok for r in report.results)
+            flaky, _, last = report.results
+            assert flaky.attempts == 2
+            # The last job started while the flaky one was backing off.
+            assert started(last) < started(flaky)
+            return report
+
+        in_both_modes(scenario)
+
+    def test_breaker_checked_at_first_submission(self, monkeypatch):
+        # The second "offender" is submitted after the first has failed
+        # (the bystander holds the other pool slot meanwhile), so the
+        # breaker the first failure tripped routes it to the degraded path.
+        monkeypatch.setenv(
+            ENV_VAR, "raise@job:offender;delay@job:bystander:seconds=1.0"
         )
-        assert not engine.run([job("doomed")]).results[0].ok
-        monkeypatch.delenv(ENV_VAR)
-        report = engine.run([job("doomed")])
-        assert report.results[0].ok
-        assert report.cache_hits == 0  # the failure was never stored
+
+        def scenario(workers):
+            engine = BatchEngine(
+                RunConfig(
+                    workers=workers,
+                    retry=RetryPolicy(max_retries=0, breaker_threshold=1),
+                )
+            )
+            report = engine.run(
+                [job("offender"), job("bystander", "MVCS"), job("offender")]
+            )
+            first, bystander, second = report.results
+            assert not first.ok and bystander.ok
+            assert second.ok
+            assert any("circuit breaker" in d.reason for d in second.degradations)
+            assert report.pool.degraded == 1
+            return report
+
+        in_both_modes(scenario)
 
 
 class TestTimeouts:
@@ -154,22 +236,28 @@ class TestExpiredDeadline:
 class TestCircuitBreaker:
     def test_repeat_offender_is_routed_to_degraded_path(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "raise@job:offender")  # attempt 0 only
-        engine = BatchEngine(
-            RunConfig(
-                retry=RetryPolicy(
-                    max_retries=0, backoff_seconds=0.01, breaker_threshold=1
+
+        def scenario(workers):
+            engine = BatchEngine(
+                RunConfig(
+                    workers=workers,
+                    retry=RetryPolicy(
+                        max_retries=0, backoff_seconds=0.01, breaker_threshold=1
+                    ),
                 )
             )
-        )
-        first = engine.run([job("offender")])
-        assert not first.results[0].ok  # breaker was closed: job really ran
-        second = engine.run([job("offender")])
-        (result,) = second.results
-        # Breaker open: degraded in-process rerun at a higher attempt,
-        # where the attempt-gated fault no longer fires.
-        assert result.ok
-        assert any("circuit breaker" in d.reason for d in result.degradations)
-        assert second.pool.degraded == 1
+            first = engine.run([job("offender"), job("fine", "MVCS")])
+            assert not first.results[0].ok  # breaker was closed: job really ran
+            second = engine.run([job("offender"), job("other", "Mixer", "horner")])
+            result = second.results[0]
+            # Breaker open: degraded in-process rerun at a higher attempt,
+            # where the attempt-gated fault no longer fires.
+            assert result.ok
+            assert any("circuit breaker" in d.reason for d in result.degradations)
+            assert second.pool.degraded == 1
+            return second
+
+        in_both_modes(scenario)
 
     def test_success_resets_the_breaker(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "raise@job:flaky")  # attempt 0 only
