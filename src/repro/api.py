@@ -111,8 +111,9 @@ def clear_caches() -> dict[str, int]:
     """Clear every process-level synthesis cache; return pre-clear sizes.
 
     One call covers the best-expression memo, the CSE kernel cache, the
-    default expression-DAG interner, the packed-monomial context pool,
-    and the rings-layer number-theory memos (the stores
+    factorization memo, the default expression-DAG interner, the
+    packed-monomial context pool, and the rings-layer number-theory
+    memos (the stores
     :func:`~repro.core.synthesis_cache_sizes` reports).  Exposed on the
     CLI as ``repro cache --clear``.
     """

@@ -39,15 +39,20 @@ class BlockRegistry:
         self._counter += 1
         return f"{self.prefix}{self._counter}"
 
-    def register(self, definition: Polynomial) -> tuple[str, int]:
+    def register(
+        self, definition: Polynomial, ground: Polynomial | None = None
+    ) -> tuple[str, int]:
         """Intern a block; returns ``(name, sign)``.
 
         ``definition`` may reference input variables and previously
         registered blocks.  If an equivalent block (same ground polynomial
         up to sign) exists, its name is returned with the sign relating
-        ``definition`` to the stored orientation.
+        ``definition`` to the stored orientation.  A caller that has
+        already expanded ``definition`` passes its trimmed expansion as
+        ``ground``, so it is not expanded again.
         """
-        ground = self.expand(definition).trim()
+        if ground is None:
+            ground = self.expand(definition).trim()
         if ground.is_zero or ground.is_constant:
             raise ValueError(f"refusing to register trivial block {definition}")
         sign = 1

@@ -37,7 +37,9 @@ def exposed_linear_kernels(poly: Polynomial) -> list[Polynomial]:
 
 
 def cube_extraction(
-    polys: list[Polynomial], registry: BlockRegistry
+    polys: list[Polynomial],
+    registry: BlockRegistry,
+    modular: list[bool] | None = None,
 ) -> list[str]:
     """Expose linear kernels of every polynomial (and block definition).
 
@@ -46,6 +48,13 @@ def cube_extraction(
     given *and* on their ground expansions, so structure hidden behind a
     CCE block (``4(xy^2+3y^3)`` hiding the kernel ``x+3y``) is still
     found.
+
+    ``modular`` flags, per polynomial, whether it is a canonical
+    (mod ``2^m``) form (default: all).  Only those are expanded: an exact
+    representation expands to its system polynomial, which — as the
+    ``original`` representation — comes earlier in ``polys``, so its
+    kernels are already seen and harvesting the expansion again would
+    register nothing.
     """
     deadline = current_deadline()
     ticking = deadline.enabled
@@ -77,7 +86,7 @@ def cube_extraction(
             if ground in seen:
                 continue
             seen.add(ground)
-            name, _ = registry.register(kernel)
+            name, _ = registry.register(kernel, ground)
             if name not in names:
                 names.append(name)
                 if emitting:
@@ -89,11 +98,13 @@ def cube_extraction(
                     )
 
     with current_tracer().span("cube_extract/kernels") as span:
-        for poly in polys:
+        if modular is None:
+            modular = [True] * len(polys)
+        for poly, canonical in zip(polys, modular):
             harvest(poly)
             # Without block variables the expansion could only re-trim the
             # polynomial, whose (trimmed) kernels harvest already saw.
-            if any(name in defs for name in poly.used_vars()):
+            if canonical and any(name in defs for name in poly.used_vars()):
                 expanded = registry.expand(poly)
                 if expanded != poly:
                     harvest(expanded)

@@ -163,18 +163,21 @@ def clear_synthesis_caches() -> None:
 
     Tests use this to compare cold runs against memoized runs; results
     must be identical either way (the caches are keyed by mathematical
-    content and hold immutable values).  Covers the packed-monomial
-    context intern pool and the rings-layer ``lru_cache`` memos too, so
-    a "cold" benchmark run really starts cold.
+    content and hold immutable values).  Covers the factorization memo,
+    the packed-monomial context intern pool and the rings-layer
+    ``lru_cache`` memos too, so a "cold" benchmark run really starts
+    cold.
     """
     from repro.cse.kernels import clear_kernel_cache
     from repro.dag import default_dag
+    from repro.factor.factorize import clear_factor_cache
     from repro.poly.packed import clear_packed_context_cache
     from repro.rings.falling import clear_falling_caches
     from repro.rings.modular import clear_modular_caches
 
     _BEST_EXPR_CACHE.clear()
     clear_kernel_cache()
+    clear_factor_cache()
     default_dag().clear()
     clear_packed_context_cache()
     clear_falling_caches()
@@ -190,6 +193,7 @@ def synthesis_cache_sizes() -> dict[str, int]:
     """
     from repro.cse.kernels import kernel_cache_size
     from repro.dag import default_dag
+    from repro.factor.factorize import factor_cache_size
     from repro.poly.packed import packed_context_cache_size
     from repro.rings.falling import falling_cache_size
     from repro.rings.modular import modular_cache_size
@@ -197,6 +201,7 @@ def synthesis_cache_sizes() -> dict[str, int]:
     return {
         "best_expr_cache": len(_BEST_EXPR_CACHE),
         "kernel_cache": kernel_cache_size(),
+        "factor_cache": factor_cache_size(),
         "dag_interner": default_dag().size(),
         "packed_contexts": packed_context_cache_size(),
         "rings_falling": falling_cache_size(),
@@ -785,8 +790,12 @@ def _cube_extract_phase(
     with phase("cube-extract", skippable=True) as clock:
         before_blocks = len(registry.defs)
         if options.enable_cube_extraction:
-            all_rep_polys = [rep.poly for reps in lists for rep in reps]
-            cube_extraction(all_rep_polys, registry)
+            all_reps = [rep for reps in lists for rep in reps]
+            cube_extraction(
+                [rep.poly for rep in all_reps],
+                registry,
+                [rep.modular for rep in all_reps],
+            )
         if options.enable_factoring:
             expose_homogeneous_factors(list(system), registry)
         clock.count(blocks=len(registry.defs) - before_blocks)

@@ -432,6 +432,21 @@ class _InProcessExecutor:
         pass
 
 
+def _pool_worker_init() -> None:
+    """Let ``terminate()`` end a pool worker.
+
+    A forked worker inherits its parent's signal handlers.  Under
+    :func:`graceful_shutdown` (``repro batch``) SIGTERM would only ask
+    the worker's copy of the engine to drain, and a hung worker would
+    outlive every respawn.
+    """
+    signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
+
+
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=_pool_worker_init)
+
+
 def _pool_worker(args: tuple[int, str]) -> tuple[int, str]:
     """Top-level (picklable) pool entry point."""
     index, blob = args
@@ -648,7 +663,7 @@ class BatchEngine:
             stats.workers = min(self.workers, len(pending))
             try:
                 out = self._dispatch(
-                    batch, pending, ProcessPoolExecutor(max_workers=stats.workers)
+                    batch, pending, _new_pool(stats.workers)
                 )
                 stats.mode = "pool"
             except Exception as exc:
@@ -912,7 +927,7 @@ class BatchEngine:
                             sorted(batch[i].label for i in hung_indices),
                             retry.job_timeout_seconds,
                         )
-                        executor = self._respawn(executor, max_workers, kill=True)
+                        executor = self._respawn(executor, max_workers)
                         for index, attempt, _ in inflight.values():
                             job = batch[index]
                             if index not in hung_indices:
@@ -940,15 +955,17 @@ class BatchEngine:
         return out
 
     @staticmethod
-    def _respawn(
-        pool: ProcessPoolExecutor, max_workers: int, kill: bool = False
-    ) -> ProcessPoolExecutor:
-        """Replace a broken (or deliberately killed) pool with a fresh one."""
-        if kill:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
+    def _respawn(pool: ProcessPoolExecutor, max_workers: int) -> ProcessPoolExecutor:
+        """Replace a broken (or deliberately killed) pool with a fresh one.
+
+        The old pool's processes are terminated either way: after a
+        crash its surviving workers may be hung, and a hung worker left
+        running keeps the batch process from exiting.
+        """
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
+            process.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return _new_pool(max_workers)
 
     def _publish_metrics(
         self, report: BatchReport, stats_before: CacheStats

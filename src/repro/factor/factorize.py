@@ -49,14 +49,49 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
+#: Per-process memo of :func:`factor_polynomial`.  The flow factors the
+#: same inputs again and again — refine factors block grounds such as
+#: ``x^2``, ``x*y`` and ``x^2 + 2*x*y + y^2`` system after system.
+#: Keyed by the exact variable tuple and *ordered* terms, so a hit
+#: returns the bases a cold call would, in the same term order.
+#: Factorizations are immutable, so sharing is safe.  Bounded by
+#: wholesale clearing; a call that raises (a budget overrun) stores
+#: nothing.
+_FACTOR_CACHE: dict[tuple, Factorization] = {}
+_FACTOR_CACHE_MAX = 1024
+
+
+def clear_factor_cache() -> None:
+    """Drop the factorization memo."""
+    _FACTOR_CACHE.clear()
+
+
+def factor_cache_size() -> int:
+    """Entries currently held by the factorization memo."""
+    return len(_FACTOR_CACHE)
+
+
 def factor_polynomial(poly: Polynomial) -> Factorization:
     """Factor a polynomial into content and irreducible factors over Z.
 
     Sound by construction (every candidate is verified by exact division);
     complete for univariate input, and for multivariate input within the
     Kronecker subset budget — beyond it, an unfactored square-free base is
-    returned intact rather than wrong.
+    returned intact rather than wrong.  Memoized per process (see
+    ``_FACTOR_CACHE``); a hit does no work and ticks no budget.
     """
+    key = (poly.vars, tuple(poly.terms.items()))
+    hit = _FACTOR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    result = _factor(poly)
+    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_MAX:
+        _FACTOR_CACHE.clear()
+    _FACTOR_CACHE[key] = result
+    return result
+
+
+def _factor(poly: Polynomial) -> Factorization:
     if poly.is_zero:
         return Factorization(0, ())
     square_free = square_free_factorization(poly)

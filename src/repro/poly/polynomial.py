@@ -521,33 +521,88 @@ class Polynomial:
 
         Variables absent from ``mapping`` are left untouched.  Substitution
         is simultaneous, e.g. ``subs({x: y, y: x})`` swaps the variables.
+
+        One pass gives exactly — variable tuple and term order included —
+        what multiplying each term's factors (``replacement ** e`` or
+        ``var ** e``, in variable order) with ``*`` and summing the terms
+        with ``+`` gives: the frame is the sorted union of the factors'
+        variables, products follow ``__mul__``'s loop order and the sum
+        ``__add__``'s add/pop rule (see docs/PERFORMANCE.md).
         """
         if not mapping:
             return self
+        used = self.used_vars()
         replacements: dict[str, Polynomial] = {}
-        for name, value in mapping.items():
-            if isinstance(value, int):
-                replacements[name] = Polynomial.constant(value)
+        names: set[str] = set()
+        for var in used:
+            if var in mapping:
+                value = mapping[var]
+                if isinstance(value, int):
+                    value = Polynomial.constant(value)
+                replacements[var] = value
+                names.update(value._vars)
             else:
-                replacements[name] = value
-        result = Polynomial.zero()
-        kept_vars = self._vars
+                names.add(var)
+        frame = tuple(sorted(names))
+        index = {v: k for k, v in enumerate(frame)}
+        width = len(frame)
+        # Own columns: substituted ones (with their re-keyed replacement)
+        # and kept ones (with their frame position).
+        substituted = [
+            (i, replacements[v].with_vars(frame))
+            for i, v in enumerate(self._vars) if v in replacements
+        ]
+        kept = [
+            (i, index[v])
+            for i, v in enumerate(self._vars) if v in index and v not in replacements
+        ]
+        powers: dict[tuple[int, int], Terms] = {}
+        out: Terms = {}
         for exps, coeff in self._terms.items():
-            term: Polynomial | int = coeff
-            for var, e in zip(kept_vars, exps):
+            product: Terms | None = None
+            for i, repl in substituted:
+                e = exps[i]
                 if not e:
                     continue
-                if var in replacements:
-                    factor = replacements[var] ** e
+                factor = powers.get((i, e))
+                if factor is None:
+                    factor = powers[(i, e)] = _power_terms(repl, e)
+                if product is None:
+                    product = {k: c * coeff for k, c in factor.items()}
+                    continue
+                if not product or not factor:
+                    product = {}
+                    break
+                if len(factor) < len(product):
+                    outer, inner = factor, product
                 else:
-                    factor = Polynomial(
-                        (var,), {(e,): 1}
-                    )
-                term = factor * term
-            if isinstance(term, int):
-                term = Polynomial.constant(term)
-            result = result + term
-        return result
+                    outer, inner = product, factor
+                product = {}
+                for eb, cb in outer.items():
+                    for ea, ca in inner.items():
+                        key = tuple([x + y for x, y in zip(ea, eb)])
+                        total = product.get(key, 0) + ca * cb
+                        if total:
+                            product[key] = total
+                        else:
+                            del product[key]
+            shift = [0] * width
+            for i, k in kept:
+                shift[k] = exps[i]
+            if product is None:
+                product = {tuple(shift): coeff}
+            elif any(shift):
+                product = {
+                    tuple([x + y for x, y in zip(k, shift)]): c
+                    for k, c in product.items()
+                }
+            for key, c in product.items():
+                total = out.get(key, 0) + c
+                if total:
+                    out[key] = total
+                else:
+                    out.pop(key, None)
+        return Polynomial._raw(frame, out)
 
     # ------------------------------------------------------------------
     # Content / primitive part
@@ -667,6 +722,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.__str__()!r})"
+
+
+def _power_terms(poly: Polynomial, e: int) -> Terms:
+    """The terms of ``poly ** e`` (``e >= 1``), in ``__pow__``'s order.
+
+    A first power and the power of a single term skip ``__pow__``'s
+    multiplications: both have one possible order.
+    """
+    terms = poly._terms
+    if e == 1:
+        return terms
+    if len(terms) == 1:
+        ((exps, coeff),) = terms.items()
+        return {tuple([x * e for x in exps]): coeff ** e}
+    return (poly ** e)._terms
 
 
 def poly_sum(polys: Iterable[Polynomial]) -> Polynomial:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import synthesize
 from repro.core.synth import clear_synthesis_caches
-from repro.fuzz import SHAPES, generate_case
+from repro.fuzz import SHAPES, generate_case, generate_cases
 from repro.obs import NULL_TRACER, Tracer, current_tracer, span_allocation_count, use_tracer
 
 
@@ -68,6 +68,31 @@ class TestCachedVsCold:
         warm_b = _fingerprint(_run(b))
         assert cold_a == warm_a
         assert cold_b == warm_b
+
+
+def _ordered_fingerprint(result):
+    """Rendered decomposition in block order, ``chosen`` and phase counters.
+
+    Text, not ``==``: a memo that hands back an equal polynomial in a
+    different term order changes the rendering and fails here.
+    """
+    return (
+        [f"{name}={expr}" for name, expr in result.decomposition.blocks.items()],
+        [str(expr) for expr in result.decomposition.outputs],
+        result.chosen,
+        [(phase.phase, phase.counters) for phase in result.timings.phases],
+    )
+
+
+class TestWarmProcessStream:
+    def test_warm_stream_matches_cold_reruns(self):
+        """A fuzz stream in one warm process, each system re-run cold."""
+        cases = generate_cases(0, 40)
+        clear_synthesis_caches()
+        warm = [_ordered_fingerprint(_run(case.system)) for case in cases]
+        for case, expected in zip(cases, warm):
+            clear_synthesis_caches()
+            assert _ordered_fingerprint(_run(case.system)) == expected, case.index
 
 
 class TestZeroCostTracing:

@@ -10,13 +10,14 @@ and must come out the same.
 """
 
 import json
+import multiprocessing
 import time
 
 import pytest
 
 from repro.config import RetryPolicy, RunConfig
 from repro.core import Budget
-from repro.engine import BatchEngine, BatchJob
+from repro.engine import BatchEngine, BatchJob, graceful_shutdown
 from repro.suite import get_system
 from repro.testing import ENV_VAR
 from repro.verify import check_systems
@@ -215,6 +216,45 @@ class TestTimeouts:
         assert by_name["fine"].cache_hit
         assert not by_name["stuck"].cache_hit
         assert by_name["stuck"].ok and not by_name["stuck"].degraded
+
+
+class TestNoLingeringWorkers:
+    def test_crash_and_persistent_hang_leave_no_workers(self, monkeypatch):
+        """The CI fault-smoke spec, run the way ``repro batch`` runs it.
+
+        Under ``graceful_shutdown`` the drain handler is installed when
+        the pool forks, so SIGTERM must still end a worker: a hung one
+        surviving the crash respawn or the timeout kill would keep the
+        batch process alive after its report.
+        """
+        monkeypatch.setenv(
+            ENV_VAR, "crash@job:Table 14.1;hang@job:Table 14.2:attempts=99"
+        )
+        timeout = 3.0
+        engine = BatchEngine(
+            RunConfig(
+                workers=2,
+                retry=RetryPolicy(
+                    max_retries=2, backoff_seconds=0.01, job_timeout_seconds=timeout
+                ),
+            )
+        )
+        jobs = [
+            BatchJob(system=get_system(name), method="proposed", name=name)
+            for name in ("Table 14.1", "Table 14.2")
+        ]
+        try:
+            with graceful_shutdown(engine):
+                report = engine.run(jobs)
+            assert all(r.ok for r in report.results)
+            assert report.timeouts == 1 and report.retries >= 1
+            deadline = time.monotonic() + timeout + 10.0
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert multiprocessing.active_children() == []
+        finally:
+            for child in multiprocessing.active_children():
+                child.kill()
 
 
 class TestExpiredDeadline:
