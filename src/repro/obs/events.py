@@ -257,7 +257,9 @@ class EventStream:
     under one lock, so the per-stream total order is exact even when the
     engine's dispatch loop and a synthesis thread emit concurrently.
     ``max_events`` bounds memory/IO on pathological workloads — past the
-    cap, events are counted in :attr:`dropped` instead of recorded.
+    lifetime cap, events are counted in :attr:`dropped` instead of
+    recorded.  ``None`` means no cap, for a long-lived stream whose sinks
+    bound themselves.
     """
 
     enabled = True
@@ -265,7 +267,7 @@ class EventStream:
     def __init__(
         self,
         sinks: "list[RingBufferSink | JsonlSink | CallbackSink] | None" = None,
-        max_events: int = 1_000_000,
+        max_events: int | None = 1_000_000,
     ) -> None:
         self.epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
@@ -283,7 +285,7 @@ class EventStream:
         global _event_allocations
         ts = time.perf_counter() - self._epoch_perf
         with self._lock:
-            if self._seq >= self.max_events:
+            if self.max_events is not None and self._seq >= self.max_events:
                 self.dropped += 1
                 return
             _event_allocations += 1
@@ -309,7 +311,7 @@ class EventStream:
         with self._lock:
             self.dropped += snapshot.dropped
             for source in snapshot.events:
-                if self._seq >= self.max_events:
+                if self.max_events is not None and self._seq >= self.max_events:
                     self.dropped += 1
                     continue
                 data = dict(source.data)

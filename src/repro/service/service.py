@@ -12,9 +12,10 @@ serve``.  It owns:
   budgets vary per job), all sharing the service's on-disk result
   cache, so a re-delivered job re-reads the byte-identical payload the
   crashed run already computed instead of re-synthesizing,
-* a worker thread (lease → run → complete), a heartbeat thread (lease
-  extension while the engine is busy), and the reaper fold into the
-  worker loop (requeue expired leases, dead-letter repeat orphans).
+* a worker thread (lease → run → complete, woken by each submit rather
+  than polling), a heartbeat thread (lease extension while the engine
+  is busy), and the reaper fold into the worker loop (requeue expired
+  leases, dead-letter repeat orphans).
 
 Everything observable flows through one :class:`~repro.obs.EventStream`:
 the service emits the lifecycle kinds (``job_queued`` / ``job_leased``
@@ -90,6 +91,8 @@ class ServiceConfig:
     data_dir: str
     run_config: RunConfig = field(default_factory=RunConfig)
     lease_seconds: float = 30.0
+    # How often an idle worker wakes to reap expired leases; a submit or
+    # stop wakes it at once, so this bounds no job's queue wait.
     poll_seconds: float = 0.1
     batch_size: int | None = None     # leased per worker cycle (default: workers)
     max_redeliveries: int = 3
@@ -146,13 +149,16 @@ class SynthesisService:
         sinks: list[Any] = [RingBufferSink(), CallbackSink(self._on_event)]
         if config.events_out:
             sinks.append(JsonlSink(config.events_out))
-        self.events = EventStream(sinks=sinks)
+        # No lifetime cap: the stream lives as long as the service, and
+        # its sinks (ring buffer, per-job tails) already bound themselves.
+        self.events = EventStream(sinks=sinks, max_events=None)
         self._engines: dict[str, BatchEngine] = {}
         self._engines_lock = threading.Lock()
         self._running: dict[str, str] = {}  # job_id -> lease_id (in-flight)
         self._running_lock = threading.Lock()
         self._results: list[JobResult] = []
         self._stopping = threading.Event()
+        self._wake = threading.Event()  # set by submit/stop, waited on idle
         self._drained = threading.Event()
         self._worker: threading.Thread | None = None
         self._heartbeat: threading.Thread | None = None
@@ -206,6 +212,7 @@ class SynthesisService:
         everything this process executed is returned.
         """
         self._stopping.set()
+        self._wake.set()
         for engine in list(self._engines.values()):
             engine.request_stop()
         deadline = time.time() + (self.config.drain_seconds if drain else 0.0)
@@ -323,6 +330,9 @@ class SynthesisService:
             self.events.emit(
                 "job_queued", job=record.job_id, tenant=tenant, method=method
             )
+            # After ``job_queued``, so the ``job_leased`` it triggers
+            # follows it in the stream.
+            self._wake.set()
         return record, created
 
     def cancel(self, job_id: str) -> JobRecord:
@@ -355,12 +365,16 @@ class SynthesisService:
         batch_size = self.config.batch_size or max(self.run_config.workers, 1)
         while not self._stopping.is_set():
             try:
+                # Clear before leasing: a submit that lands after an
+                # empty lease leaves the signal set, so the wait below
+                # returns at once instead of stranding the job a tick.
+                self._wake.clear()
                 self._reap()
                 leased = self.store.lease(
                     batch_size, self.config.lease_seconds
                 )
                 if not leased:
-                    self._stopping.wait(self.config.poll_seconds)
+                    self._wake.wait(self.config.poll_seconds)
                     continue
                 for record in leased:
                     self.events.emit(

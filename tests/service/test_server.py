@@ -1,6 +1,8 @@
 """HTTP-level tests for the service front end (ServerThread)."""
 
+import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -11,6 +13,7 @@ from repro.service import (
     AdmissionController,
     ServerThread,
     ServiceConfig,
+    ServiceServer,
     SynthesisService,
     TenantPolicy,
 )
@@ -144,6 +147,44 @@ class TestEndpoints:
         assert status in (200, 409)
         if status == 200:
             assert body["job"]["state"] == "cancelled"
+
+    def test_cancel_queued_job_200_and_finished_job_409(self, tmp_path):
+        """Both cancel branches, without a race: the listener runs in
+        front of a service whose worker starts only after the first
+        cancel, so that job is certainly still queued.  (HTTP submits
+        need a running worker, so the queued job is submitted in-process.)"""
+        service = SynthesisService(
+            ServiceConfig(data_dir=str(tmp_path / "svc5"), poll_seconds=0.02)
+        )
+        listener = ServiceServer(service)
+        bound = threading.Event()
+        http = threading.Thread(
+            target=lambda: asyncio.run(
+                listener.run(install_signals=False, announce=lambda _m: bound.set())
+            ),
+            daemon=True,
+        )
+        http.start()
+        assert bound.wait(10.0)
+        base = f"http://{listener.host}:{listener.port}"
+        try:
+            record, _ = service.submit(system_to_dict(tiny_system(18)))
+            queued_id = record.job_id
+            status, body, _ = call(base, f"/jobs/{queued_id}/cancel", {}, method="POST")
+            assert status == 200
+            assert body["job"]["state"] == "cancelled"
+
+            service.start()
+            _, body, _ = call(base, "/jobs", {"system": system_to_dict(tiny_system(19))})
+            done_id = body["job"]["job_id"]
+            assert wait_terminal(service, done_id).state == "done"
+            status, body, _ = call(base, f"/jobs/{done_id}/cancel", {}, method="POST")
+            assert status == 409
+            assert "cannot cancel" in body["error"]
+        finally:
+            listener.request_shutdown()
+            http.join(timeout=10.0)
+            service.stop()
 
 
 class TestBackpressure:

@@ -1,6 +1,8 @@
 """In-process tests for SynthesisService: submit→done, byte-identity,
-idempotent reuse, admission rejection, graceful drain."""
+idempotent reuse, admission rejection, graceful drain, the idle wake."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro import BitVectorSignature, PolySystem, parse_system
 from repro.config import RunConfig
 from repro.engine import BatchEngine, BatchJob
+from repro.obs import EventStream
 from repro.serialize import system_to_dict
 from repro.service import (
     AdmissionRejected,
@@ -30,11 +33,8 @@ def tiny_system(k: int = 1) -> PolySystem:
 
 def make_service(tmp_path, **overrides) -> SynthesisService:
     admission = overrides.pop("admission", None)
-    config = ServiceConfig(
-        data_dir=str(tmp_path / "svc"),
-        poll_seconds=0.02,
-        **overrides,
-    )
+    overrides.setdefault("poll_seconds", 0.02)
+    config = ServiceConfig(data_dir=str(tmp_path / "svc"), **overrides)
     return SynthesisService(config, admission=admission)
 
 
@@ -107,6 +107,117 @@ class TestRunToDone:
             assert "job_start" in kinds
             assert "job_end" in kinds
         finally:
+            service.stop()
+
+    def test_job_tails_outlive_the_stream_default_cap(self, tmp_path, monkeypatch):
+        """The service's stream has no lifetime cap: past the default
+        cap, later jobs still get their lifecycle tails.  A tiny job
+        emits ~33 events, so a default cap of 60 would leave the fourth
+        job's tail empty."""
+        sinks_default, _ = EventStream.__init__.__defaults__
+        monkeypatch.setattr(EventStream.__init__, "__defaults__", (sinks_default, 60))
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            for k in range(21, 25):
+                record, _ = service.submit(system_to_dict(tiny_system(k)))
+                wait_terminal(service, record.job_id)
+            kinds = [e.get("event") for e in service.store.events_for(record.job_id)]
+            assert "job_start" in kinds
+            assert "job_end" in kinds
+            assert service.events.dropped == 0
+        finally:
+            service.stop()
+
+
+class TestIdleWake:
+    """A submit or stop wakes an idle worker at once; ``poll_seconds``
+    only paces lease reaping.  Each test runs with a 30 s poll, so a lost
+    wake fails its deadline instead of passing on the next tick."""
+
+    def test_idle_submit_runs_without_waiting_for_the_poll(self, tmp_path):
+        service = make_service(tmp_path, poll_seconds=30.0)
+        service.start()
+        try:
+            time.sleep(0.2)  # let the worker go idle
+            record, _ = service.submit(system_to_dict(tiny_system(31)))
+            done = wait_terminal(service, record.job_id, timeout=2.0)
+            assert done.state == JobState.DONE
+        finally:
+            service.stop()
+
+    def test_idle_stop_returns_at_once(self, tmp_path):
+        service = make_service(tmp_path, poll_seconds=30.0, drain_seconds=5.0)
+        service.start()
+        time.sleep(0.2)
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 1.0
+        assert not service._worker.is_alive()
+
+    def test_submit_between_empty_lease_and_wait_is_not_stranded(
+        self, tmp_path, monkeypatch
+    ):
+        """The worker clears the signal before it leases, so a submit that
+        lands after an empty lease (injected here, deterministically) still
+        wakes the wait that follows."""
+        service = make_service(tmp_path, poll_seconds=30.0)
+        real_lease = service.store.lease
+        injected = []
+
+        def lease_then_submit(*args):
+            leased = real_lease(*args)
+            if not leased and not injected:
+                record, _ = service.submit(system_to_dict(tiny_system(41)))
+                injected.append(record)
+            return leased
+
+        monkeypatch.setattr(service.store, "lease", lease_then_submit)
+        service.start()
+        try:
+            deadline = time.time() + 2.0
+            while not injected and time.time() < deadline:
+                time.sleep(0.01)
+            assert injected
+            done = wait_terminal(service, injected[0].job_id, timeout=2.0)
+            assert done.state == JobState.DONE
+        finally:
+            service.stop()
+
+    def test_concurrent_submits_are_never_stranded(self, tmp_path):
+        service = make_service(tmp_path, poll_seconds=30.0)
+        service.start()
+        job_ids: list[str] = []
+        ids_lock = threading.Lock()
+
+        def submit_ten(base: int) -> None:
+            for k in range(base, base + 10):
+                record, created = service.submit(system_to_dict(tiny_system(k)))
+                assert created
+                with ids_lock:
+                    job_ids.append(record.job_id)
+
+        threads = [
+            threading.Thread(target=submit_ten, args=(100 + 10 * t,))
+            for t in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave submits and worker finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=15.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(job_ids) == 40
+            deadline = time.time() + 15.0
+            for job_id in job_ids:
+                record = wait_terminal(
+                    service, job_id, timeout=max(deadline - time.time(), 0.0)
+                )
+                assert record.state == JobState.DONE
+        finally:
+            sys.setswitchinterval(interval)
             service.stop()
 
 
