@@ -31,7 +31,6 @@ from repro.api import (  # noqa: F401 — the facade's whole surface
     Budget,
     Decomposition,
     Degradation,
-    EventStream,
     ExpressionDAG,
     JobResult,
     MethodOutcome,

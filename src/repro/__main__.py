@@ -135,55 +135,45 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _obs_scope(args: argparse.Namespace, total_jobs: int | None = None):
-    """(context manager, tracer, event stream) honouring the shared
-    observability flags: ``--trace-out`` / ``--stats`` install a fresh
-    tracer, ``--events-out`` / ``--progress`` a fresh event stream with
-    a JSONL file sink and/or the live progress renderer."""
-    from contextlib import ExitStack
+    """(context manager, recorder) honouring the shared observability
+    flags: ``--trace-out`` / ``--stats`` make the command's recorder keep
+    spans, ``--events-out`` / ``--progress`` make it keep events, sent to
+    a JSONL file sink and/or the live progress renderer.  Without any of
+    them the ambient recorder stays, and the recorder is ``None``."""
+    from contextlib import nullcontext
 
     from repro.obs import (
+        DEFAULT_MAX_SPANS,
         CallbackSink,
-        EventStream,
         JsonlSink,
         ProgressRenderer,
-        RingBufferSink,
         Tracer,
-        use_events,
         use_tracer,
     )
 
-    stack = ExitStack()
-    tracer = None
-    stream = None
-    if getattr(args, "trace_out", None) or getattr(args, "stats", False):
-        tracer = Tracer()
-        stack.enter_context(use_tracer(tracer))
-    sinks: list = [RingBufferSink()]
+    spans = bool(getattr(args, "trace_out", None) or getattr(args, "stats", False))
+    sinks: list = []
     if getattr(args, "events_out", None):
         sinks.append(JsonlSink(args.events_out))
     if getattr(args, "progress", False):
         sinks.append(CallbackSink(ProgressRenderer(total_jobs=total_jobs)))
-    if len(sinks) > 1:
-        stream = EventStream(sinks=sinks)
-        stack.enter_context(use_events(stream))
-    return stack, tracer, stream
+    if not spans and not sinks:
+        return nullcontext(), None
+    recorder = Tracer(
+        sinks=sinks or None, max_spans=DEFAULT_MAX_SPANS if spans else 0
+    )
+    return use_tracer(recorder), recorder
 
 
-def _trace_scope(args: argparse.Namespace):
-    """(context manager, tracer) honouring --trace-out / --stats flags."""
-    scope, tracer, _ = _obs_scope(args)
-    return scope, tracer
-
-
-def _emit_trace_artifacts(args: argparse.Namespace, tracer, stream=None) -> None:
+def _emit_trace_artifacts(args: argparse.Namespace, recorder) -> None:
     from repro.obs import JsonlSink, get_registry, prometheus_text, write_chrome_trace
 
-    if getattr(args, "trace_out", None) and tracer is not None:
-        events = write_chrome_trace(args.trace_out, tracer.snapshot())
-        print(f"trace: {events} event(s) -> {args.trace_out}")
-    if stream is not None:
-        stream.close()
-        for sink in stream.sinks:
+    if recorder is not None:
+        if getattr(args, "trace_out", None):
+            events = write_chrome_trace(args.trace_out, recorder.snapshot())
+            print(f"trace: {events} event(s) -> {args.trace_out}")
+        recorder.close()
+        for sink in recorder.sinks:
             if isinstance(sink, JsonlSink):
                 print(f"events: {sink.written} event(s) -> {sink.path}")
     if getattr(args, "stats", False):
@@ -195,13 +185,13 @@ def _emit_trace_artifacts(args: argparse.Namespace, tracer, stream=None) -> None
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     system = _system_from_args(args)
-    scope, tracer, stream = _obs_scope(args, total_jobs=1)
+    scope, recorder = _obs_scope(args, total_jobs=1)
     with scope:
         result = synthesize_system(system, run_config_from_args(args))
     print(result.summary())
     report = estimate_decomposition(result.decomposition, system.signature)
     print(f"hardware: {report}")
-    _emit_trace_artifacts(args, tracer, stream)
+    _emit_trace_artifacts(args, recorder)
     return 0
 
 
@@ -273,7 +263,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         names = TABLE_14_3_SYSTEMS
     engine = BatchEngine(run_config_from_args(args))
     report = None
-    scope, tracer, stream = _obs_scope(
+    scope, recorder = _obs_scope(
         args, total_jobs=len(names) * max(1, args.repeat)
     )
     with scope, graceful_shutdown(engine):
@@ -283,7 +273,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 break
     assert report is not None
     print(report.summary_table())
-    _emit_trace_artifacts(args, tracer, stream)
+    _emit_trace_artifacts(args, recorder)
     if engine.stop_requested:
         # Interrupted: in-flight jobs were drained (their results are in
         # the partial report above), queued jobs were cancelled, and the
@@ -363,13 +353,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         corpus_dir=args.corpus_dir,
         run_config=run_config_from_args(args),
     )
-    scope, tracer, stream = _obs_scope(args, total_jobs=args.iterations)
+    scope, recorder = _obs_scope(args, total_jobs=args.iterations)
     with scope:
         report = run_fuzz(config)
     print(report.summary())
     # Wall-clock goes to stderr: the stdout summary stays deterministic.
     print(f"elapsed: {report.elapsed:.1f}s", file=sys.stderr)
-    _emit_trace_artifacts(args, tracer, stream)
+    _emit_trace_artifacts(args, recorder)
     return 1 if report.findings else 0
 
 
@@ -551,12 +541,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     import json
 
     from repro.core import explain_text
-    from repro.obs import EventStream, Tracer, use_events, use_tracer
+    from repro.obs import RingBufferSink, Tracer, use_tracer
 
     system = _system_from_args(args)
-    # Run under a fresh tracer + stream so the provenance counters and
-    # the published metrics come from this run alone.
-    with use_tracer(Tracer()), use_events(EventStream()):
+    # Run under a fresh recorder of spans and events so the provenance
+    # counters and the published metrics come from this run alone.
+    with use_tracer(Tracer(sinks=[RingBufferSink()])):
         result = synthesize_system(system, run_config_from_args(args))
     if args.format == "json":
         prov = result.provenance
@@ -996,19 +986,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flush_env_trace() -> None:
     """Honour ``REPRO_TRACE=<file>`` / ``REPRO_EVENTS=<file>``: dump the
-    ambient tracer and close the ambient event stream's sinks on exit."""
-    from repro.obs import (
-        current_events,
-        current_tracer,
-        env_trace_path,
-        write_chrome_trace,
-    )
+    ambient recorder's spans and close its event sinks on exit."""
+    from repro.obs import current_tracer, env_trace_path, write_chrome_trace
 
     path = env_trace_path()
-    tracer = current_tracer()
-    if path and getattr(tracer, "roots", None):
-        write_chrome_trace(path, tracer.snapshot())
-    current_events().close()
+    recorder = current_tracer()
+    if path and recorder.roots:
+        write_chrome_trace(path, recorder.snapshot())
+    recorder.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -49,7 +49,7 @@ from repro.cost import (
 )
 from repro.engine import BatchEngine, BatchJob, BatchReport, JobResult
 from repro.expr import Decomposition, OpCount
-from repro.obs import EventStream, ProgressRenderer, Tracer
+from repro.obs import ProgressRenderer, Tracer
 from repro.poly import Polynomial, parse_polynomial, parse_system
 from repro.rings import BitVectorSignature
 from repro.service import (
@@ -69,7 +69,6 @@ __all__ = [
     "DEFAULT_METHODS",
     "Decomposition",
     "Degradation",
-    "EventStream",
     "ExpressionDAG",
     "JobResult",
     "JobStore",

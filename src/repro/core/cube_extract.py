@@ -17,7 +17,7 @@ factoring from the flat form, and the cost model scores it identically.
 from __future__ import annotations
 
 from repro.cse import all_kernels
-from repro.obs import current_events, current_tracer
+from repro.obs import current_tracer
 from repro.poly import Polynomial
 
 from .blocks import BlockRegistry
@@ -61,8 +61,8 @@ def cube_extraction(
     pending = 0
     names: list[str] = []
     seen: set[Polynomial] = set()
-    events = current_events()
-    emitting = events.enabled  # hoisted: harvest runs inside the search loop
+    tracer = current_tracer()
+    emitting = tracer.emitting  # hoisted: harvest runs inside the search loop
 
     defs = registry.defs
 
@@ -90,14 +90,14 @@ def cube_extraction(
             if name not in names:
                 names.append(name)
                 if emitting:
-                    events.emit(
+                    tracer.emit(
                         "block_registered",
                         name=name,
                         source="cube_extract",
                         definition=str(ground),
                     )
 
-    with current_tracer().span("cube_extract/kernels") as span:
+    with tracer.span("cube_extract/kernels") as span:
         if modular is None:
             modular = [True] * len(polys)
         for poly, canonical in zip(polys, modular):
@@ -144,9 +144,9 @@ def expose_homogeneous_factors(
 
     names: list[str] = []
     seen: set[Polynomial] = set()
-    events = current_events()
-    emitting = events.enabled
-    with current_tracer().span("cube_extract/homogeneous") as span:
+    tracer = current_tracer()
+    emitting = tracer.emitting
+    with tracer.span("cube_extract/homogeneous") as span:
         for poly in polys:
             ground = registry.expand(poly)
             top = homogeneous_part(ground).primitive_part()
@@ -163,7 +163,7 @@ def expose_homogeneous_factors(
                     if name not in names:
                         names.append(name)
                         if emitting:
-                            events.emit(
+                            tracer.emit(
                                 "block_registered",
                                 name=name,
                                 source="homogeneous",

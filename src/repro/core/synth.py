@@ -37,7 +37,7 @@ from typing import Iterator
 
 from repro.cse import eliminate_common_subexpressions
 from repro.dag import ExpressionDAG
-from repro.obs import current_events, current_tracer, get_registry, observe_timings
+from repro.obs import current_tracer, get_registry, observe_timings
 from repro.expr import (
     Decomposition,
     OpCount,
@@ -403,11 +403,11 @@ def _phase(
     degradations: list[Degradation] | None = None,
     skippable: bool = False,
 ) -> Iterator:
-    """Time one phase into both the Timings and a span of the same name.
+    """Time one phase into the Timings and the recorder's phase scope.
 
     The yielded clock is the :class:`~repro.core.metrics.Timings` phase
-    accumulator; its counters are mirrored onto the span when the phase
-    closes, so the span tree and the flat timings always agree.
+    accumulator; its counters are mirrored onto the phase's span when
+    the phase closes, so the span tree and the flat timings always agree.
 
     The phase is also a budget boundary: the ambient deadline's per-phase
     clock restarts here, and — for ``skippable`` phases, whose work only
@@ -420,14 +420,13 @@ def _phase(
 
     A phase that degrades (skipped here, or a partial search) appends its
     :class:`Degradation` and counts ``degraded=1`` in its record.  The
-    span's ``degraded`` attribute, the ``degradation`` event and
-    ``phase_end``'s ``degraded`` flag are all read from that record when
-    the phase closes.
+    recorder's phase scope (:meth:`~repro.obs.Tracer.phase`) is told the
+    degradation's action; when it closes, the span's ``degraded``
+    attribute, the ``degradation`` event and ``phase_end``'s ``degraded``
+    flag are all read from that one record.
     """
-    events = current_events()
-    with tracer.span(name) as span, timings.phase(name) as clock:
+    with tracer.phase(name) as scope, timings.phase(name) as clock:
         deadline.start_phase(name)
-        events.emit("phase_start", name=name)
         try:
             fault_point(f"phase:{name}")
             yield clock
@@ -438,15 +437,11 @@ def _phase(
             clock.count(degraded=1)
         finally:
             deadline.end_phase()
-            span.count(**clock.counters)
-            degraded = bool(clock.counters.get("degraded"))
-            if degraded:
-                span.set(degraded=True)
-                action = next(
+            scope.count(**clock.counters)
+            if clock.counters.get("degraded"):
+                scope.degrade(next(
                     d.action for d in reversed(degradations) if d.phase == name
-                )
-                events.emit("degradation", phase=name, action=action)
-            events.emit("phase_end", name=name, degraded=degraded)
+                ))
 
 
 def synthesize(
@@ -472,7 +467,7 @@ def synthesize(
     ladder ``factor+cse`` → ``horner``.  Every overrun is recorded in
     ``result.degradations``; the returned decomposition is always valid.
 
-    When the ambient :func:`repro.obs.current_tracer` is enabled the run
+    When the ambient :func:`repro.obs.current_tracer` keeps spans the run
     additionally records a hierarchical span tree — ``poly_synth`` at the
     root, one child per phase, algorithm sub-steps (``cce/extract``,
     ``algdiv/divide``, ``cse/extract``, ...) below — and the timings feed
@@ -513,9 +508,7 @@ def synthesize(
                     )
                 except BudgetExceeded as exc:
                     degradations.append(Degradation("job", "fallback", str(exc)))
-                    current_events().emit(
-                        "degradation", phase="job", action="fallback"
-                    )
+                    tracer.emit("degradation", phase="job", action="fallback")
                     result = _degraded_result(
                         system, signature, options, timings, tracer,
                         degradations,
@@ -523,7 +516,7 @@ def synthesize(
         root.count(degradations=len(result.degradations))
         if result.degradations:
             root.set(degraded=True)
-    if tracer.enabled:
+    if tracer.tracing:
         # The search telemetry reaches the registry once, through the
         # search phase's counters; the cache gauges are process state.
         observe_timings(timings)
@@ -895,10 +888,10 @@ def _search_phase(
     memo_hits = 0
     pruned = 0
     search_bound = 0
-    # Hot-loop discipline: hoist the enabled flag so the disabled stream
-    # costs one truth test per lookup and allocates zero event objects.
-    events = current_events()
-    emitting = events.enabled
+    # Hot-loop discipline: hoist the flag so a recorder that keeps no
+    # events costs one truth test per lookup and allocates no Event.
+    tracer = current_tracer()
+    emitting = tracer.emitting
 
     def score_indices(indices: tuple[int, ...]) -> float:
         nonlocal scored, memo_hits
@@ -906,7 +899,7 @@ def _search_phase(
         if cost is not None:
             memo_hits += 1
             if emitting:
-                events.emit("combo_memo_hit")
+                tracer.emit("combo_memo_hit")
             return cost
         chosen = [lists[i][j] for i, j in enumerate(indices)]
         live: set[int] = set()
@@ -918,14 +911,14 @@ def _search_phase(
         cache[indices] = cost
         scored += 1
         if emitting:
-            events.emit("combo_scored", scored=scored, bound=search_bound, cost=cost)
+            tracer.emit("combo_scored", scored=scored, bound=search_bound, cost=cost)
         return cost
 
     def note_prune(surrogate: int, bound: float) -> None:
         nonlocal pruned
         pruned += 1
         if emitting:
-            events.emit("combo_pruned", surrogate=surrogate, bound=bound)
+            tracer.emit("combo_pruned", surrogate=surrogate, bound=bound)
 
     with phase("search") as clock:
         sizes = [len(reps) for reps in lists]
@@ -1126,13 +1119,13 @@ def _assemble_finalists(
     surrogates: dict[tuple[int, ...], float],
 ) -> tuple[tuple[int, ...], float, Decomposition]:
     """Assemble and exactly score each finalist; the first cheapest wins."""
-    events = current_events()
+    tracer = current_tracer()
     winner: tuple[tuple[int, ...], float, Decomposition] | None = None
     for indices in finalists:
         chosen = [lists[i][j] for i, j in enumerate(indices)]
         cost, decomposition = _score(chosen, registry, options, signature)
-        if events.enabled:
-            events.emit(
+        if tracer.emitting:
+            tracer.emit(
                 "dag_finalist",
                 cost=cost,
                 surrogate=surrogates[indices],

@@ -42,7 +42,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -57,13 +57,12 @@ from repro.core import (
     synthesize,
 )
 from repro.obs import (
-    EventStream,
+    DEFAULT_MAX_SPANS,
+    RingBufferSink,
     Tracer,
-    current_events,
     current_tracer,
     get_registry,
     observe_timings,
-    use_events,
     use_tracer,
 )
 from repro.expr import Decomposition, OpCount
@@ -271,14 +270,14 @@ def _run_job_payload(
 
     Runs identically in-process and inside pool workers — the payload is
     the single representation results take before reaching the caller, so
-    serial and parallel execution cannot diverge.  With ``trace`` set the
-    job runs under its own fresh :class:`~repro.obs.Tracer` (whichever
-    process it lands in) and ships the resulting span tree home inside
-    the payload for :meth:`~repro.obs.Tracer.adopt` to stitch; the
-    caller strips it again before caching.  ``events`` does the same for
-    the structured event stream (:meth:`~repro.obs.EventStream.adopt`):
-    only the *accepted* payload's events are adopted, so the events of
-    failed attempts that were retried are discarded, never duplicated.
+    serial and parallel execution cannot diverge.  With ``trace`` or
+    ``events`` set the job runs under its own fresh
+    :class:`~repro.obs.Tracer` (whichever process it lands in) keeping
+    spans, events or both, and ships its snapshot home in the payload's
+    ``obs`` field for :meth:`~repro.obs.Tracer.adopt` to stitch; the
+    caller strips it again before caching.  Only the *accepted*
+    payload's snapshot is adopted, so the spans and events of failed
+    attempts that were retried are discarded, never duplicated.
 
     ``config_data`` is the engine's :class:`~repro.config.RunConfig`
     round-tripped through the payload; its budget bounds the synthesis
@@ -311,66 +310,62 @@ def _run_job_payload(
             # Force the expired-at-start fast path: the job already spent
             # its wall-clock allowance inside the killed worker.
             budget = Budget(job_seconds=0.0)
-    tracer = Tracer() if trace else None
-    stream = EventStream() if events else None
+    observed = trace or events
+    tracer = (
+        Tracer(
+            sinks=[RingBufferSink()] if events else None,
+            max_spans=DEFAULT_MAX_SPANS if trace else 0,
+        )
+        if observed
+        else current_tracer()
+    )
+    job_name = label or method
     start_wall = time.time()
     with use_attempt(attempt if degraded_reason is None else _DEGRADED_ATTEMPT):
-        if stream is not None:
-            stream.emit("job_start", job=label or method, method=method)
-        try:
-            system = system_from_dict(system_data)
-            options = SynthesisOptions(**options_data) if options_data else None
-            fault_point(f"job:{label or method}")
-            with use_events(stream) if stream is not None else nullcontext():
-                with use_tracer(tracer) if tracer is not None else nullcontext():
-                    job_span = (
-                        tracer.span(f"job:{label or method}", method=method)
-                        if tracer is not None
-                        else nullcontext()
-                    )
-                    with job_span:
-                        if method == "proposed":
-                            result = synthesize(
-                                list(system.polys), system.signature, options,
-                                budget=budget,
-                            )
-                            decomposition = result.decomposition
-                            op_count = result.op_count
-                            initial = result.initial_op_count
-                            timings = result.timings or Timings()
-                            payload["degradations"].extend(
-                                d.as_dict() for d in result.degradations
-                            )
-                        else:
-                            fn = get_method(method)
-                            timings = Timings()
-                            with timings.phase(f"method:{method}"):
-                                decomposition = fn(system, options)
-                            op_count = decomposition.op_count()
-                            initial = direct_cost(
-                                list(system.polys), options or SynthesisOptions()
-                            )
-            payload.update(
-                decomposition=decomposition_to_dict(decomposition),
-                op_count=op_count_to_dict(op_count),
-                initial_op_count=op_count_to_dict(initial),
-                timings=timings_to_dict(timings),
-            )
-        except Exception as exc:  # noqa: BLE001 - one bad job must not kill the batch
-            payload["error"] = f"{type(exc).__name__}: {exc}"
-        if stream is not None:
-            stream.emit(
-                "job_end", job=label or method, error=payload["error"]
-            )
+        with use_tracer(tracer):
+            tracer.emit("job_start", job=job_name, method=method)
+            try:
+                system = system_from_dict(system_data)
+                options = SynthesisOptions(**options_data) if options_data else None
+                fault_point(f"job:{job_name}")
+                with tracer.span(f"job:{job_name}", method=method):
+                    if method == "proposed":
+                        result = synthesize(
+                            list(system.polys), system.signature, options,
+                            budget=budget,
+                        )
+                        decomposition = result.decomposition
+                        op_count = result.op_count
+                        initial = result.initial_op_count
+                        timings = result.timings or Timings()
+                        payload["degradations"].extend(
+                            d.as_dict() for d in result.degradations
+                        )
+                    else:
+                        fn = get_method(method)
+                        timings = Timings()
+                        with timings.phase(f"method:{method}"):
+                            decomposition = fn(system, options)
+                        op_count = decomposition.op_count()
+                        initial = direct_cost(
+                            list(system.polys), options or SynthesisOptions()
+                        )
+                payload.update(
+                    decomposition=decomposition_to_dict(decomposition),
+                    op_count=op_count_to_dict(op_count),
+                    initial_op_count=op_count_to_dict(initial),
+                    timings=timings_to_dict(timings),
+                )
+            except Exception as exc:  # noqa: BLE001 - one bad job must not kill the batch
+                payload["error"] = f"{type(exc).__name__}: {exc}"
+            tracer.emit("job_end", job=job_name, error=payload["error"])
     payload["worker"] = {
         "pid": os.getpid(),
         "start_wall": start_wall,
         "end_wall": time.time(),
     }
-    if tracer is not None:
-        payload["spans"] = tracer.snapshot().to_dict()
-    if stream is not None:
-        payload["events"] = stream.snapshot().to_dict()
+    if observed:
+        payload["obs"] = tracer.snapshot().to_dict()
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -406,10 +401,7 @@ def _incident(
     Both carry ``fields``.  The span is a marker unless ``work`` is
     given; then the work runs inside it and its result is returned.
     """
-    events = current_events()
-    if events.enabled:
-        events.emit(kind, **fields)
-    with current_tracer().span(span, **fields):
+    with current_tracer().incident(span, kind, **fields):
         return work() if work is not None else None
 
 
@@ -535,7 +527,6 @@ class BatchEngine:
         batch = [self._coerce(job) for job in jobs]
         start = time.perf_counter()
         tracer = current_tracer()
-        events = current_events()
         stats_before = replace(self.cache.stats)
         self._attempts = {}
         self._timed_out = set()
@@ -555,27 +546,22 @@ class BatchEngine:
                     _incident("cache_hit", "cache_hit", job=batch[index].label)
                 else:
                     pending.append(index)
-                    if events.enabled:
-                        events.emit("cache_miss", job=batch[index].label)
+                    tracer.emit("cache_miss", job=batch[index].label)
 
             for index, payload in self._execute(batch, pending).items():
                 data = json.loads(payload)
-                spans_data = data.pop("spans", None)
-                events_data = data.pop("events", None)
-                if spans_data is not None or events_data is not None:
-                    # Span trees and event snapshots are transport-only:
-                    # stitch them under the batch span / parent stream,
-                    # then strip them so the cached payload (and
+                observed = data.pop("obs", None)
+                if observed is not None:
+                    # The snapshot is transport-only: stitch it into this
+                    # recording, then strip it so the cached payload (and
                     # JobResult.payload) is identical to an unobserved
                     # run's.
                     payload = json.dumps(
                         data, sort_keys=True, separators=(",", ":")
                     )
-                if spans_data is not None:
-                    tracer.adopt(spans_data, tid=index + 1)
-                    _publish_worker_timings(data)
-                if events_data is not None:
-                    events.adopt(events_data, job=batch[index].label)
+                    tracer.adopt(observed, job=batch[index].label, tid=index + 1)
+                    if tracer.tracing:
+                        _publish_worker_timings(data)
                 payloads[index] = payload
                 hits[index] = False
                 # Degraded results are wall-clock-dependent (a slower
@@ -639,14 +625,15 @@ class BatchEngine:
         return job
 
     def _job_blob(self, job: BatchJob, attempt: int = 0) -> str:
+        tracer = current_tracer()
         return json.dumps(
             {
                 "system": system_to_dict(job.system),
                 "options": asdict(job.options) if job.options else None,
                 "method": job.method,
                 "label": job.label,
-                "trace": current_tracer().enabled,
-                "events": current_events().enabled,
+                "trace": tracer.tracing,
+                "events": tracer.emitting,
                 "config": self.config.as_dict(),
                 "attempt": attempt,
             }
@@ -701,6 +688,7 @@ class BatchEngine:
     def _degraded_payload(self, job: BatchJob, attempt: int, reason: str) -> str:
         """Rerun one job in-process down the degraded path (see ROBUSTNESS)."""
         self.last_pool.degraded += 1
+        tracer = current_tracer()
         return _incident(
             "pool/degraded", "degradation",
             lambda: _run_job_payload(
@@ -708,8 +696,8 @@ class BatchEngine:
                 asdict(job.options) if job.options else None,
                 job.method,
                 label=job.label,
-                trace=current_tracer().enabled,
-                events=current_events().enabled,
+                trace=tracer.tracing,
+                events=tracer.emitting,
                 config_data=self.config.as_dict(),
                 attempt=attempt,
                 degraded_reason=reason,
@@ -755,7 +743,7 @@ class BatchEngine:
         out: dict[int, str] = {}
         stats = self.last_pool
         retry = self.config.retry
-        events = current_events()
+        tracer = current_tracer()
         wait_histogram = get_registry().histogram("repro_pool_queue_wait_seconds")
         max_workers = stats.workers
 
@@ -796,11 +784,11 @@ class BatchEngine:
                             "cancelled: shutdown requested before execution",
                         )
                     ready.clear()
-                if events.enabled:
+                if tracer.emitting:
                     beat_now = time.monotonic()
                     if beat_now - last_beat >= _HEARTBEAT_SECONDS:
                         last_beat = beat_now
-                        events.emit(
+                        tracer.emit(
                             "heartbeat", done=len(out),
                             inflight=len(inflight),
                             pending=len(ready),

@@ -1,19 +1,20 @@
-"""Unified observability: hierarchical spans, events, metrics, exporters.
+"""Unified observability: one recorder of spans and events, metrics, exporters.
 
 The subsystem the ROADMAP's scaling PRs measure themselves against:
 
-* :mod:`repro.obs.tracer` — hierarchical :class:`Span` trees behind a
-  near-zero-overhead no-op default; ambient via :func:`current_tracer`
-  / :func:`use_tracer`; cross-process stitching via
-  :meth:`Tracer.adopt`; ``REPRO_TRACE`` turns the default on.
-* :mod:`repro.obs.events` — the typed, ordered :class:`EventStream`
-  (phase boundaries, scored/memoized/pruned combinations, kernel
-  choices, cache hits, retries, heartbeats) with pluggable sinks
-  (:class:`RingBufferSink`, :class:`JsonlSink`, :class:`CallbackSink`)
-  behind the same zero-cost no-op default; ``REPRO_EVENTS`` turns the
-  default on.
+* :mod:`repro.obs.tracer` — :class:`Tracer`, the one recorder: timed,
+  hierarchical :class:`Span` trees and ordered point events on one
+  timeline, behind a near-zero-overhead no-op default; ambient via
+  :func:`current_tracer` / :func:`use_tracer`; one cross-process
+  stitching call, :meth:`Tracer.adopt`.  ``REPRO_TRACE`` turns the
+  default's spans on and ``REPRO_EVENTS`` its events.
+* :mod:`repro.obs.events` — what an event is: the closed
+  :data:`EVENT_KINDS` taxonomy (phase boundaries, scored/memoized/pruned
+  combinations, kernel choices, cache hits, retries, heartbeats), the
+  :class:`Event` record, and the sinks a recorder sends events to
+  (:class:`RingBufferSink`, :class:`JsonlSink`, :class:`CallbackSink`).
 * :mod:`repro.obs.progress` — :class:`ProgressRenderer`, the live
-  status-line consumer of the event stream (``--progress``).
+  status-line consumer of the events (``--progress``).
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and fixed-bucket histograms; :func:`observe_timings` bridges
   the flow's per-phase :class:`~repro.core.metrics.Timings` into it.
@@ -28,20 +29,10 @@ taxonomy, and the export formats.
 
 from .events import (
     EVENT_KINDS,
-    NULL_EVENTS,
     CallbackSink,
     Event,
-    EventsSnapshot,
-    EventStream,
     JsonlSink,
-    NullEventStream,
     RingBufferSink,
-    current_events,
-    env_events_path,
-    env_events_settings,
-    event_allocation_count,
-    set_events,
-    use_events,
 )
 from .exporters import (
     chrome_trace,
@@ -62,18 +53,20 @@ from .metrics import (
 )
 from .progress import ProgressRenderer
 from .tracer import (
+    DEFAULT_MAX_SPANS,
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
     TraceSnapshot,
+    allocation_counts,
     current_tracer,
+    env_events_settings,
     env_toggle,
     env_trace_path,
     env_trace_settings,
     format_span_tree,
     set_tracer,
-    span_allocation_count,
     use_tracer,
 )
 from .validate import (
@@ -88,43 +81,35 @@ __all__ = [
     "CallbackSink",
     "Counter",
     "DEFAULT_BUCKETS",
+    "DEFAULT_MAX_SPANS",
     "EVENT_KINDS",
     "Event",
-    "EventStream",
-    "EventsSnapshot",
     "Gauge",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
-    "NULL_EVENTS",
     "NULL_TRACER",
-    "NullEventStream",
     "NullTracer",
     "ProgressRenderer",
     "RingBufferSink",
     "Span",
     "TraceSnapshot",
     "Tracer",
+    "allocation_counts",
     "chrome_trace",
     "chrome_trace_depth",
-    "current_events",
     "current_tracer",
-    "env_events_path",
     "env_events_settings",
     "env_toggle",
     "env_trace_path",
     "env_trace_settings",
-    "event_allocation_count",
     "event_names",
     "format_span_tree",
     "get_registry",
     "observe_timings",
     "prometheus_text",
-    "set_events",
     "set_tracer",
-    "span_allocation_count",
     "spans_to_jsonl",
-    "use_events",
     "use_tracer",
     "validate_chrome_trace",
     "validate_event_jsonl",

@@ -1,8 +1,8 @@
-"""Live progress rendering on top of the event stream.
+"""Live progress rendering on top of the recorder's events.
 
-:class:`ProgressRenderer` is an event-stream consumer (install it via
-:class:`~repro.obs.events.CallbackSink`) that maintains a single
-carriage-return status line on a terminal stream: combinations scored
+:class:`ProgressRenderer` is an event consumer (install it via a
+:class:`~repro.obs.events.CallbackSink` on the recorder) that maintains
+a single carriage-return status line on a terminal stream: combinations scored
 against the search-space bound with an ETA during a synthesis run,
 jobs finished against the batch size during ``repro batch``, and the
 engine's heartbeats in between.  It is the reference consumer of the
@@ -25,8 +25,8 @@ from .events import Event
 class ProgressRenderer:
     """Callback turning events into a throttled one-line status display.
 
-    >>> from repro.obs import CallbackSink, EventStream, ProgressRenderer
-    >>> stream = EventStream(sinks=[CallbackSink(ProgressRenderer())])
+    >>> from repro.obs import CallbackSink, ProgressRenderer, Tracer
+    >>> recorder = Tracer(sinks=[CallbackSink(ProgressRenderer())])
     """
 
     def __init__(

@@ -1,33 +1,41 @@
-"""Hierarchical span tracing for the synthesis flow and the batch engine.
+"""The one recorder: hierarchical spans and ordered point events.
 
 A :class:`Span` is one timed, named region of work; spans nest
 (``poly_synth`` > ``cce`` > ``cce/extract``), carry free-form attributes
 and integer counters, and together form the tree the exporters
 (:mod:`repro.obs.exporters`) serialize to JSONL, Chrome trace-event
-JSON, or feed into metrics.
+JSON, or feed into metrics.  An :class:`~repro.obs.events.Event` is one
+point record (a phase boundary, a scored combination, a cache hit, a
+retry) on the same timeline.  :class:`Tracer` records both: each phase,
+engine incident and pool job is observed once, by one recorder call.
 
 Design constraints, in order:
 
-1. **Near-zero overhead when off.**  The ambient tracer defaults to
-   :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op
-   context manager — entering a disabled span is two attribute-free
-   method calls and no allocation.  Instrumentation can therefore stay
-   unconditionally in the hot paths (the flow's results are required to
-   be bit-identical and within a few percent of the uninstrumented
-   runtime; tests enforce both).
-2. **Results never depend on tracing.**  Nothing reads a span back into
-   the flow; the tracer is write-only from the algorithm's perspective.
+1. **Near-zero overhead when off.**  The ambient recorder defaults to
+   :data:`NULL_TRACER`, whose ``span()`` and ``phase()`` return one
+   shared no-op context manager and whose ``emit()`` is empty — entering
+   a disabled span is two attribute-free method calls and no
+   allocation.  Hot loops additionally hoist ``tracer.emitting``, so a
+   recorder allocates only what it keeps: a spans-only recorder
+   (``sinks=None``) allocates no :class:`~repro.obs.events.Event`, an
+   events-only one (``max_spans=0``) no :class:`Span`, and the disabled
+   one neither (:func:`allocation_counts`; tests enforce all three).
+2. **Results never depend on recording.**  Nothing reads a span or an
+   event back into the flow; the recorder is write-only from the
+   algorithm's perspective.
 3. **Thread- and process-safe.**  Open-span stacks are per-thread;
-   finished trees are appended under a lock.  Pool workers build their
-   own :class:`Tracer` and ship a :class:`TraceSnapshot` home inside the
-   job payload; :meth:`Tracer.adopt` stitches the worker tree under the
-   parent's current span, re-basing timestamps via each tracer's
-   wall-clock epoch.
+   finished trees are appended, and events numbered and handed to the
+   sinks, under one lock.  Pool workers build their own :class:`Tracer`
+   and ship one :class:`TraceSnapshot` home inside the job payload;
+   :meth:`Tracer.adopt` stitches the worker's spans under the parent's
+   current span and re-emits its events, both re-based via each
+   recorder's wall-clock epoch.
 
-The ``REPRO_TRACE`` environment variable turns the ambient default on:
-``1``/``true``/``on``/``yes`` enable tracing, any other non-empty value
-both enables it *and* names the Chrome-trace file the CLI writes on
-exit (see :func:`env_trace_settings` and ``docs/OBSERVABILITY.md``).
+``REPRO_TRACE`` and ``REPRO_EVENTS`` turn the ambient default on: ``1``/
+``true``/``on``/``yes`` enable spans or events respectively, any other
+non-empty value both enables them *and* names the file the CLI writes
+on exit — a Chrome trace for ``REPRO_TRACE``, a JSONL event stream for
+``REPRO_EVENTS`` (see :func:`env_toggle` and ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -40,21 +48,26 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from .events import Event, JsonlSink, RingBufferSink
+
+#: The default span cap of a :class:`Tracer`.
+DEFAULT_MAX_SPANS = 200_000
+
+#: Process-wide counts of the spans and events live recorders have
+#: allocated.  Tests compare them across an instrumented region to prove
+#: that a recorder allocates only what it keeps, and the disabled path
+#: (:data:`NULL_TRACER`) nothing at all.
+_allocations = {"spans": 0, "events": 0}
+
+
+def allocation_counts() -> dict[str, int]:
+    """How many spans and events recorders have allocated in this process."""
+    return dict(_allocations)
+
 
 # ----------------------------------------------------------------------
-# Spans
+# Records
 # ----------------------------------------------------------------------
-
-#: Process-wide count of :class:`Span` objects allocated by live tracers.
-#: Tests compare this across an instrumented region to prove the disabled
-#: path (``NULL_TRACER``) allocates no span objects at all.
-_span_allocations = 0
-
-
-def span_allocation_count() -> int:
-    """How many real spans tracers have allocated in this process so far."""
-    return _span_allocations
-
 
 @dataclass
 class Span:
@@ -153,10 +166,11 @@ class Span:
 
 @dataclass
 class TraceSnapshot:
-    """A tracer's finished span trees plus the epoch needed to re-base them."""
+    """A recorder's span trees and events plus the epoch to re-base them."""
 
     epoch_wall: float
     spans: list[Span] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     dropped: int = 0
 
     def to_dict(self) -> dict[str, Any]:
@@ -165,6 +179,7 @@ class TraceSnapshot:
             "epoch_wall": self.epoch_wall,
             "dropped": self.dropped,
             "spans": [span.to_dict() for span in self.spans],
+            "events": [event.to_dict() for event in self.events],
         }
 
     @classmethod
@@ -174,6 +189,7 @@ class TraceSnapshot:
         return cls(
             epoch_wall=float(data["epoch_wall"]),
             spans=[Span.from_dict(s) for s in data.get("spans", [])],
+            events=[Event.from_dict(e) for e in data.get("events", [])],
             dropped=int(data.get("dropped", 0)),
         )
 
@@ -190,7 +206,7 @@ class TraceSnapshot:
 # ----------------------------------------------------------------------
 
 class _NullSpan:
-    """Shared do-nothing span handed out when tracing is off."""
+    """Shared do-nothing span (and phase handle) when recording is off."""
 
     __slots__ = ()
 
@@ -198,6 +214,9 @@ class _NullSpan:
         pass
 
     def count(self, **deltas: int) -> None:
+        pass
+
+    def degrade(self, action: str) -> None:
         pass
 
 
@@ -218,31 +237,50 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
 class NullTracer:
-    """The disabled tracer: every operation is a cheap no-op."""
+    """The disabled recorder: every operation is a cheap no-op."""
 
     __slots__ = ()
-    enabled = False
+    tracing = False
+    emitting = False
     dropped = 0
 
     @property
     def roots(self) -> list[Span]:
         return []
 
+    @property
+    def events(self) -> list[Event]:
+        return []
+
     def span(self, name: str, **attrs: Any) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
 
-    def adopt(self, tree: "TraceSnapshot | dict", tid: int = 0) -> None:
+    def phase(self, name: str) -> _NullSpanContext:
+        return _NULL_SPAN_CONTEXT
+
+    def incident(self, span: str, kind: str, **fields: Any) -> _NullSpanContext:
+        return _NULL_SPAN_CONTEXT
+
+    def emit(self, kind: str, /, **data: Any) -> None:
+        pass
+
+    def adopt(
+        self, snapshot: "TraceSnapshot | dict", job: str | None = None, tid: int = 0
+    ) -> None:
         pass
 
     def snapshot(self) -> TraceSnapshot:
         return TraceSnapshot(epoch_wall=time.time())
+
+    def close(self) -> None:
+        pass
 
 
 NULL_TRACER = NullTracer()
 
 
 # ----------------------------------------------------------------------
-# The real tracer
+# The real recorder
 # ----------------------------------------------------------------------
 
 class _SpanContext:
@@ -258,32 +296,88 @@ class _SpanContext:
     def __enter__(self) -> Span | _NullSpan:
         self._span = self._tracer._enter(self._name, self._attrs)
         return self._span
+
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._span is not NULL_SPAN:
             self._tracer._exit(self._span, exc_type)
         return False
 
 
-class Tracer:
-    """Collects hierarchical spans on one timeline.
+class _PhaseScope:
+    """One open phase (:meth:`Tracer.phase`): its span and its record.
 
-    ``max_spans`` bounds memory on pathological workloads (the
-    combination search can score hundreds of candidates, each opening a
-    ``cse/extract`` span): past the cap new spans are dropped and
-    counted in :attr:`dropped` instead of recorded.
+    Opening the scope opens the span and emits ``phase_start``; closing
+    it emits ``degradation`` (when :meth:`degrade` was called) and
+    ``phase_end`` from the same record, then closes the span.
     """
 
-    enabled = True
+    __slots__ = ("_tracer", "_name", "_span", "_action")
 
-    def __init__(self, max_spans: int = 200_000) -> None:
+    def __init__(self, tracer: "Tracer", name: str) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._span: Span | _NullSpan = NULL_SPAN
+        self._action: str | None = None
+
+    def __enter__(self) -> "_PhaseScope":
+        tracer = self._tracer
+        if tracer.tracing:
+            self._span = tracer._enter(self._name, {})
+        tracer.emit("phase_start", name=self._name)
+        return self
+
+    def count(self, **deltas: int) -> None:
+        """Add counters to the phase's span."""
+        self._span.count(**deltas)
+
+    def degrade(self, action: str) -> None:
+        """Mark the phase degraded by ``action`` (read when it closes)."""
+        self._action = action
+        self._span.set(degraded=True)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tracer = self._tracer
+        degraded = self._action is not None
+        if degraded:
+            tracer.emit("degradation", phase=self._name, action=self._action)
+        tracer.emit("phase_end", name=self._name, degraded=degraded)
+        if self._span is not NULL_SPAN:
+            tracer._exit(self._span, exc_type)
+        return False
+
+
+class Tracer:
+    """Records hierarchical spans and ordered point events on one timeline.
+
+    ``sinks`` receive every recorded event, in order; ``None`` keeps no
+    events (a spans-only recorder), and ``max_spans=0`` keeps no spans
+    (an events-only recorder).  The caps bound memory and IO on
+    pathological workloads (the combination search can score hundreds
+    of candidates, each opening a ``cse/extract`` span): past a cap, new
+    records are dropped and counted in :attr:`dropped` instead.
+    ``max_events=None`` means no event cap, for a long-lived recorder
+    whose sinks bound themselves.
+    """
+
+    def __init__(
+        self,
+        sinks: "list[Any] | None" = None,
+        max_spans: int = DEFAULT_MAX_SPANS,
+        max_events: int | None = 1_000_000,
+    ) -> None:
         self.epoch_wall = time.time()
         self._epoch_perf = time.perf_counter()
+        self.tracing = max_spans > 0
+        self.emitting = sinks is not None
+        self.sinks = list(sinks or ())
         self.max_spans = max_spans
+        self.max_events = max_events
         self.dropped = 0
         self.roots: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
         self._recorded = 0
+        self._seq = 0
 
     # -- internals -------------------------------------------------------
 
@@ -298,13 +392,12 @@ class Tracer:
         return stack
 
     def _enter(self, name: str, attrs: dict[str, Any]) -> Span | _NullSpan:
-        global _span_allocations
         with self._lock:
             if self._recorded >= self.max_spans:
                 self.dropped += 1
                 return NULL_SPAN
             self._recorded += 1
-        _span_allocations += 1
+        _allocations["spans"] += 1
         span = Span(name=name, start=self._now(), attrs=dict(attrs))
         stack = self._stack()
         if stack:
@@ -330,36 +423,76 @@ class Tracer:
             if stack:
                 stack.pop()
 
+    def _record(self, kind: str, ts: float, data: dict[str, Any]) -> None:
+        """Number one event and hand it to the sinks (lock held)."""
+        if self.max_events is not None and self._seq >= self.max_events:
+            self.dropped += 1
+            return
+        _allocations["events"] += 1
+        event = Event(seq=self._seq, ts=ts, kind=kind, data=data)
+        self._seq += 1
+        for sink in self.sinks:
+            sink.accept(event)
+
     # -- public API ------------------------------------------------------
 
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
+    def span(self, name: str, **attrs: Any) -> _SpanContext | _NullSpanContext:
         """Open a nested span: ``with tracer.span("cce", polys=3) as s:``."""
+        if not self.tracing:
+            return _NULL_SPAN_CONTEXT
         return _SpanContext(self, name, attrs)
+
+    def phase(self, name: str) -> _PhaseScope:
+        """Open a flow phase: its span plus its start/end events."""
+        return _PhaseScope(self, name)
+
+    def incident(
+        self, span: str, kind: str, **fields: Any
+    ) -> _SpanContext | _NullSpanContext:
+        """Emit a ``kind`` event and open a ``span``, both carrying ``fields``."""
+        self.emit(kind, **fields)
+        return self.span(span, **fields)
+
+    def emit(self, kind: str, /, **data: Any) -> None:
+        """Record one event; ``kind`` must be in :data:`EVENT_KINDS`."""
+        if not self.emitting:
+            return
+        ts = self._now()
+        with self._lock:
+            self._record(kind, ts, data)
 
     def current(self) -> Span | None:
         """The innermost open span on this thread, if any."""
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def adopt(self, tree: "TraceSnapshot | dict", tid: int = 0) -> None:
-        """Stitch a (worker's) serialized span tree under the current span.
+    def adopt(
+        self, snapshot: "TraceSnapshot | dict", job: str | None = None, tid: int = 0
+    ) -> None:
+        """Stitch a (worker's) snapshot into this recording.
 
-        Timestamps are re-based from the child tracer's wall-clock epoch
-        onto this tracer's timeline; ``tid`` tags the whole subtree so
-        the Chrome-trace exporter renders it in its own lane.
+        The spans go under the current span, tagged with lane ``tid`` so
+        the Chrome-trace exporter renders them apart; the events are
+        re-emitted in their recorded order with fresh sequence numbers,
+        each labelled with ``job`` unless it names one already.  Both are
+        re-based from the child recorder's wall-clock epoch onto this
+        timeline.
         """
-        snapshot = TraceSnapshot.from_dict(tree) if isinstance(tree, dict) else tree
+        if isinstance(snapshot, dict):
+            snapshot = TraceSnapshot.from_dict(snapshot)
         delta = snapshot.epoch_wall - self.epoch_wall
-        self.dropped += snapshot.dropped
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        for root in snapshot.spans:
-            rebased = _rebase(root, delta, tid)
-            if parent is not None:
-                parent.children.append(rebased)
-            else:
-                with self._lock:
-                    self.roots.append(rebased)
+        parent = self.current()
+        with self._lock:
+            self.dropped += snapshot.dropped
+            if self.tracing:
+                siblings = parent.children if parent is not None else self.roots
+                siblings.extend(_rebase(root, delta, tid) for root in snapshot.spans)
+            if self.emitting:
+                for source in snapshot.events:
+                    data = dict(source.data)
+                    if job is not None:
+                        data.setdefault("job", job)
+                    self._record(source.kind, source.ts + delta, data)
 
     def snapshot(self) -> TraceSnapshot:
         """An immutable copy-by-reference view suitable for serialization."""
@@ -367,8 +500,22 @@ class Tracer:
             return TraceSnapshot(
                 epoch_wall=self.epoch_wall,
                 spans=list(self.roots),
+                events=self.events,
                 dropped=self.dropped,
             )
+
+    @property
+    def events(self) -> list[Event]:
+        """Events held by the first in-memory sink (empty if none)."""
+        for sink in self.sinks:
+            if isinstance(sink, RingBufferSink):
+                return sink.events
+        return []
+
+    def close(self) -> None:
+        """Close every sink (flushes the JSONL file sink)."""
+        for sink in self.sinks:
+            sink.close()
 
     def depth(self) -> int:
         return max((root.depth() for root in self.roots), default=0)
@@ -395,7 +542,7 @@ def _rebase(span: Span, delta: float, tid: int) -> Span:
 
 
 # ----------------------------------------------------------------------
-# The ambient tracer
+# The ambient recorder
 # ----------------------------------------------------------------------
 
 _FALSY = frozenset({"", "0", "false", "off", "no", "none", "disabled"})
@@ -423,35 +570,47 @@ def env_toggle(var: str) -> tuple[bool, str | None]:
 
 
 def env_trace_settings() -> tuple[bool, str | None]:
-    """Interpret ``REPRO_TRACE``: (enabled, chrome-trace output path).
-
-    Unset / falsy values disable tracing; truthy values enable it; any
-    other value enables it *and* is taken as the file the CLI writes a
-    Chrome trace to when the command finishes.
-    """
+    """Interpret ``REPRO_TRACE``: (keep spans, chrome-trace output path)."""
     return env_toggle("REPRO_TRACE")
 
 
-_env_enabled, _env_path = env_trace_settings()
+def env_events_settings() -> tuple[bool, str | None]:
+    """Interpret ``REPRO_EVENTS``: (keep events, JSONL output path)."""
+    return env_toggle("REPRO_EVENTS")
+
+
+def _env_recorder() -> "Tracer | NullTracer":
+    """The ambient default: what ``REPRO_TRACE`` and ``REPRO_EVENTS`` ask."""
+    tracing, _ = env_trace_settings()
+    emitting, path = env_events_settings()
+    if not (tracing or emitting):
+        return NULL_TRACER
+    sinks = None
+    if emitting:
+        sinks = [RingBufferSink()]
+        if path:
+            sinks.append(JsonlSink(path))
+    return Tracer(sinks=sinks, max_spans=DEFAULT_MAX_SPANS if tracing else 0)
+
 
 _current: ContextVar["Tracer | NullTracer"] = ContextVar(
-    "repro_tracer", default=Tracer() if _env_enabled else NULL_TRACER
+    "repro_tracer", default=_env_recorder()
 )
 
 
 def current_tracer() -> "Tracer | NullTracer":
-    """The ambient tracer (the no-op tracer unless one was installed)."""
+    """The ambient recorder (the no-op recorder unless one was installed)."""
     return _current.get()
 
 
 def set_tracer(tracer: "Tracer | NullTracer") -> None:
-    """Install ``tracer`` as the ambient tracer for this context."""
+    """Install ``tracer`` as the ambient recorder for this context."""
     _current.set(tracer)
 
 
 @contextmanager
 def use_tracer(tracer: "Tracer | NullTracer") -> Iterator["Tracer | NullTracer"]:
-    """Temporarily install ``tracer`` as the ambient tracer.
+    """Temporarily install ``tracer`` as the ambient recorder.
 
     >>> from repro.obs import Tracer, use_tracer
     >>> with use_tracer(Tracer()) as tracer:

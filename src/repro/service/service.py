@@ -17,7 +17,8 @@ serve``.  It owns:
   is busy), and the reaper fold into the worker loop (requeue expired
   leases, dead-letter repeat orphans).
 
-Everything observable flows through one :class:`~repro.obs.EventStream`:
+Everything observable flows through one events-only
+:class:`~repro.obs.Tracer`, the service's recorder:
 the service emits the lifecycle kinds (``job_queued`` / ``job_leased``
 / ``job_requeued`` / ``job_dead_letter``), the engine contributes
 ``job_start`` / ``job_end`` / ``retry`` / ``timeout`` / ``heartbeat``,
@@ -61,10 +62,10 @@ from repro.engine import (
 from repro.obs import (
     CallbackSink,
     Event,
-    EventStream,
     JsonlSink,
     RingBufferSink,
-    use_events,
+    Tracer,
+    use_tracer,
 )
 from repro.serialize import system_from_dict
 from repro.system import PolySystem
@@ -149,9 +150,10 @@ class SynthesisService:
         sinks: list[Any] = [RingBufferSink(), CallbackSink(self._on_event)]
         if config.events_out:
             sinks.append(JsonlSink(config.events_out))
-        # No lifetime cap: the stream lives as long as the service, and
-        # its sinks (ring buffer, per-job tails) already bound themselves.
-        self.events = EventStream(sinks=sinks, max_events=None)
+        # Events only, and no lifetime cap: the recorder lives as long as
+        # the service, and its sinks (ring buffer, per-job tails) already
+        # bound themselves.
+        self.recorder = Tracer(sinks=sinks, max_spans=0, max_events=None)
         self._engines: dict[str, BatchEngine] = {}
         self._engines_lock = threading.Lock()
         self._running: dict[str, str] = {}  # job_id -> lease_id (in-flight)
@@ -175,12 +177,12 @@ class SynthesisService:
             self.recovery = replay_summary(self.store)
             requeued, dead = self.store.recover_orphans()
             for record in requeued:
-                self.events.emit(
+                self.recorder.emit(
                     "job_requeued", job=record.job_id,
                     redeliveries=record.redeliveries, reason="resume",
                 )
             for record in dead:
-                self.events.emit(
+                self.recorder.emit(
                     "job_dead_letter", job=record.job_id,
                     redeliveries=record.redeliveries,
                 )
@@ -228,14 +230,14 @@ class SynthesisService:
         for job_id, lease_id in abandoned.items():
             try:
                 self.store.requeue(job_id, lease_id, "drain abandoned")
-                self.events.emit(
+                self.recorder.emit(
                     "job_requeued", job=job_id, reason="drain",
                 )
             except Exception:  # noqa: BLE001 - completed concurrently
                 pass
         report = self.final_report()
         self.store.close()
-        self.events.close()
+        self.recorder.close()
         self._drained.set()
         return report
 
@@ -254,11 +256,6 @@ class SynthesisService:
             cache_misses=len(results) - hits,
             stats=stats or CacheStats(),
         )
-
-    @property
-    def healthy(self) -> bool:
-        """Liveness: the process can answer (even while draining)."""
-        return True
 
     @property
     def ready(self) -> bool:
@@ -327,7 +324,7 @@ class SynthesisService:
             ),
         )
         if created:
-            self.events.emit(
+            self.recorder.emit(
                 "job_queued", job=record.job_id, tenant=tenant, method=method
             )
             # After ``job_queued``, so the ``job_leased`` it triggers
@@ -337,7 +334,7 @@ class SynthesisService:
 
     def cancel(self, job_id: str) -> JobRecord:
         record = self.store.cancel(job_id)
-        self.events.emit("job_cancelled", job=record.job_id, reason="client")
+        self.recorder.emit("job_cancelled", job=record.job_id, reason="client")
         return record
 
     # ------------------------------------------------------------------
@@ -377,7 +374,7 @@ class SynthesisService:
                     self._wake.wait(self.config.poll_seconds)
                     continue
                 for record in leased:
-                    self.events.emit(
+                    self.recorder.emit(
                         "job_leased", job=record.job_id,
                         lease=record.lease_id, tenant=record.tenant,
                     )
@@ -394,12 +391,12 @@ class SynthesisService:
     def _reap(self) -> None:
         requeued, dead = self.store.reap_expired()
         for record in requeued:
-            self.events.emit(
+            self.recorder.emit(
                 "job_requeued", job=record.job_id,
                 redeliveries=record.redeliveries, reason="lease-expired",
             )
         for record in dead:
-            self.events.emit(
+            self.recorder.emit(
                 "job_dead_letter", job=record.job_id,
                 redeliveries=record.redeliveries,
             )
@@ -467,7 +464,7 @@ class SynthesisService:
         if not jobs:
             return
         try:
-            with use_events(self.events):
+            with use_tracer(self.recorder):
                 report = engine.run(jobs)
         except Exception as exc:  # noqa: BLE001 - engine blew up wholesale
             logger.exception("engine failed for %d job(s)", len(started))
@@ -506,7 +503,7 @@ class SynthesisService:
             # The drain cancelled it before execution: back to queued,
             # the next process picks it up.
             self.store.requeue(record.job_id, lease_id, "drain cancelled")
-            self.events.emit(
+            self.recorder.emit(
                 "job_requeued", job=record.job_id, reason="drain",
             )
             return

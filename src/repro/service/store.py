@@ -311,7 +311,8 @@ class JobStore:
     @staticmethod
     def _count_lines(path: Path) -> int:
         try:
-            return sum(1 for _ in open(path, encoding="utf-8"))
+            with open(path, encoding="utf-8") as handle:
+                return sum(1 for _ in handle)
         except OSError:
             return 0
 
@@ -464,11 +465,6 @@ class JobStore:
                 return self._jobs[job_id]
             except KeyError:
                 raise UnknownJob(job_id) from None
-
-    def find_by_key(self, key: str) -> JobRecord | None:
-        with self._lock:
-            job_id = self._by_key.get(key)
-            return self._jobs.get(job_id) if job_id is not None else None
 
     def completed_result_for_key(
         self, key: str, exclude: str | None = None

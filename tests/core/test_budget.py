@@ -17,7 +17,7 @@ from repro.core.budget import (
     deadline_for,
     use_deadline,
 )
-from repro.obs import EventStream, Tracer, use_events, use_tracer
+from repro.obs import RingBufferSink, Tracer, use_tracer
 from repro.suite import get_system, random_system
 from repro.verify import check_systems
 
@@ -203,22 +203,22 @@ class TestDegradedPhaseRecord:
 
     def _run_traced(self, name="Quad"):
         system = get_system(name)
-        tracer, stream = Tracer(), EventStream()
-        with use_tracer(tracer), use_events(stream):
+        recorder = Tracer(sinks=[RingBufferSink()])
+        with use_tracer(recorder):
             result = synthesize(list(system.polys), system.signature)
-        return result, tracer, stream
+        return result, recorder
 
-    def _assert_degraded(self, phase, action, result, tracer, stream):
+    def _assert_degraded(self, phase, action, result, recorder):
         assert Degradation.from_dict(
             {"phase": phase, "action": action, "reason": "test budget"}
         ) in result.degradations
         [record] = [p for p in result.timings.phases if p.phase == phase]
         assert record.counters["degraded"] == 1
-        [root] = tracer.roots
+        [root] = recorder.roots
         span = root.find(phase)
         assert span.counters["degraded"] == 1
         assert span.attrs["degraded"] is True
-        events = stream.events
+        events = recorder.events
         assert [
             e.data for e in events
             if e.kind == "degradation" and e.data["phase"] == phase
@@ -233,10 +233,10 @@ class TestDegradedPhaseRecord:
             raise BudgetExceeded("test budget", site="cce")
 
         monkeypatch.setattr(synth_module, "cce_representation", over_budget)
-        result, tracer, stream = self._run_traced()
-        self._assert_degraded("cce", "skipped", result, tracer, stream)
+        result, recorder = self._run_traced()
+        self._assert_degraded("cce", "skipped", result, recorder)
         # Phases that ran in full stay clean.
-        ends = [e for e in stream.events if e.kind == "phase_end"]
+        ends = [e for e in recorder.events if e.kind == "phase_end"]
         assert [e.data["name"] for e in ends if e.data["degraded"]] == ["cce"]
 
     def test_partial_search(self, monkeypatch):
@@ -250,5 +250,5 @@ class TestDegradedPhaseRecord:
             return score(*args)
 
         monkeypatch.setattr(synth_module, "_dag_score", over_budget_after_one)
-        result, tracer, stream = self._run_traced()
-        self._assert_degraded("search", "partial", result, tracer, stream)
+        result, recorder = self._run_traced()
+        self._assert_degraded("search", "partial", result, recorder)

@@ -19,7 +19,7 @@ import pytest
 from repro.core import synthesize
 from repro.core.synth import clear_synthesis_caches
 from repro.fuzz import SHAPES, generate_case, generate_cases
-from repro.obs import NULL_TRACER, Tracer, current_tracer, span_allocation_count, use_tracer
+from repro.obs import NULL_TRACER, Tracer, allocation_counts, current_tracer, use_tracer
 
 
 def _run(system):
@@ -97,16 +97,16 @@ class TestWarmProcessStream:
 
 class TestZeroCostTracing:
     def test_disabled_tracer_allocates_no_spans(self):
-        assert current_tracer() is NULL_TRACER or not current_tracer().enabled
+        assert current_tracer() is NULL_TRACER or not current_tracer().tracing
         case = generate_case(seed=7, index=0, shapes=["planted-kernel"])
-        before = span_allocation_count()
+        before = allocation_counts()["spans"]
         _run(case.system)
-        assert span_allocation_count() == before
+        assert allocation_counts()["spans"] == before
 
     def test_enabled_tracer_does_allocate(self):
         # The counter itself must be live, or the test above proves nothing.
         case = generate_case(seed=7, index=0, shapes=["planted-kernel"])
-        before = span_allocation_count()
+        before = allocation_counts()["spans"]
         with use_tracer(Tracer()):
             _run(case.system)
-        assert span_allocation_count() > before
+        assert allocation_counts()["spans"] > before

@@ -710,11 +710,11 @@ class _Extractor:
     # -- the greedy loop --------------------------------------------------
 
     def run(self) -> CseResult:
-        from repro.obs import current_events
+        from repro.obs import current_tracer
 
         deadline = _current_deadline()
-        events = current_events()
-        emitting = events.enabled  # hoisted: the greedy loop is hot
+        tracer = current_tracer()
+        emitting = tracer.emitting  # hoisted: the greedy loop is hot
         while self.rounds < self.max_rounds:
             deadline.tick(site="cse/round")
             rows = self._kernel_rows() if self.enable_kernels else []
@@ -752,7 +752,7 @@ class _Extractor:
             if not applied:
                 break
             if emitting:
-                events.emit(
+                tracer.emit(
                     "kernel_chosen",
                     kind=kind,
                     gain=best_gain,

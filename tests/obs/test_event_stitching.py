@@ -1,20 +1,28 @@
-"""Event-stream stitching across retries and degraded reruns.
+"""Event stitching across retries and degraded reruns.
 
 The contract under test: a worker's events ride home inside the job
-payload and are adopted by the parent stream exactly once — from the
-*accepted* payload only.  A retried attempt's events are discarded with
+payload's one snapshot and are adopted by the parent recorder exactly
+once — from the *accepted* payload only.  A retried attempt's events are discarded with
 its payload, so no job ever contributes duplicated ``job_start`` /
 ``job_end`` markers, and parent-side fault events (``retry``,
 ``timeout``, ``breaker``, ``degradation``) interleave in emission order.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
+from repro.__main__ import main
 from repro.config import RetryPolicy, RunConfig
 from repro.engine import BatchEngine, BatchJob
-from repro.obs import EventStream, use_events
+from repro.obs import RingBufferSink, Tracer, use_tracer
 from repro.suite import get_system
 from repro.testing import ENV_VAR
+
+#: The event stream of ``repro batch --systems "Table 14.1,Table 14.2"
+#: --workers 1 --events-out ...`` as ``[seq, event, data]`` rows
+#: (timestamps dropped), identical under PYTHONHASHSEED 1 and 2.
+PINNED_STREAM = Path(__file__).parent / "data" / "serial_batch_events.json"
 
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_seconds=0.01, jitter=0.0)
 
@@ -26,8 +34,8 @@ def job(name, system="Quad", method="proposed"):
 
 
 def observed_run(engine, jobs):
-    stream = EventStream()
-    with use_events(stream):
+    stream = Tracer(sinks=[RingBufferSink()], max_spans=0)
+    with use_tracer(stream):
         report = engine.run(jobs)
     return stream, report
 
@@ -74,6 +82,36 @@ class TestAdoptionBasics:
         assert counts["cache_hit"] == 1
         assert counts["job_start"] == 0
         assert counts["job_end"] == 0
+
+
+def cli_stream(tmp_path, workers):
+    """``repro batch`` of SYSTEMS with events on; rows as in PINNED_STREAM."""
+    out = tmp_path / f"events-{workers}.jsonl"
+    assert main(
+        ["batch", "--systems", ",".join(SYSTEMS), "--workers", str(workers),
+         "--events-out", str(out)]
+    ) == 0
+    return [
+        [entry["seq"], entry["event"], entry["data"]]
+        for entry in map(json.loads, out.read_text().splitlines())
+    ]
+
+
+class TestPinnedStream:
+    def test_serial_stream_matches_the_pinned_fixture(self, tmp_path):
+        assert cli_stream(tmp_path, workers=1) == json.loads(
+            PINNED_STREAM.read_text()
+        )
+
+    def test_pooled_job_subsequences_match_the_serial_ones(self, tmp_path):
+        pinned = json.loads(PINNED_STREAM.read_text())
+        pooled = cli_stream(tmp_path, workers=2)
+
+        def of_job(stream, name):
+            return [(kind, data) for _, kind, data in stream if data.get("job") == name]
+
+        for name in SYSTEMS:
+            assert of_job(pooled, name) == of_job(pinned, name), name
 
 
 class TestRetryDeduplication:

@@ -1,4 +1,4 @@
-"""The structured event stream: ordering, sinks, env grammar, zero cost."""
+"""The recorder's point events: ordering, sinks, env grammar, zero cost."""
 
 import json
 import threading
@@ -8,20 +8,25 @@ import pytest
 from repro.core import SynthesisOptions, clear_synthesis_caches, synthesize
 from repro.obs import (
     EVENT_KINDS,
-    NULL_EVENTS,
+    NULL_TRACER,
     CallbackSink,
     Event,
-    EventsSnapshot,
-    EventStream,
     JsonlSink,
     RingBufferSink,
-    current_events,
+    Tracer,
+    TraceSnapshot,
+    allocation_counts,
+    current_tracer,
     env_events_settings,
-    event_allocation_count,
-    use_events,
+    use_tracer,
     validate_event_jsonl,
 )
 from repro.suite import get_system
+
+
+def events_recorder(**caps) -> Tracer:
+    """A recorder keeping events (in a ring buffer) and no spans."""
+    return Tracer(sinks=[RingBufferSink()], max_spans=0, **caps)
 
 
 class TestEventBasics:
@@ -38,10 +43,10 @@ class TestEventBasics:
         assert Event.from_dict(doc) == event
 
     def test_snapshot_round_trip(self):
-        stream = EventStream()
+        stream = events_recorder()
         stream.emit("phase_start", name="search")
         stream.emit("phase_end", name="search", degraded=False)
-        snapshot = EventsSnapshot.from_dict(stream.snapshot().to_dict())
+        snapshot = TraceSnapshot.from_dict(stream.snapshot().to_dict())
         assert [e.kind for e in snapshot.events] == ["phase_start", "phase_end"]
         assert snapshot.events[0].data == {"name": "search"}
 
@@ -49,17 +54,17 @@ class TestEventBasics:
         with pytest.raises(ValueError):
             Event.from_dict({"kind": "span"})
         with pytest.raises(ValueError):
-            EventsSnapshot.from_dict({"kind": "event"})
+            TraceSnapshot.from_dict({"kind": "event"})
 
     def test_sequence_strictly_increases(self):
-        stream = EventStream()
+        stream = events_recorder()
         for _ in range(100):
             stream.emit("heartbeat")
         seqs = [e.seq for e in stream.events]
         assert seqs == list(range(100))
 
     def test_max_events_counts_drops(self):
-        stream = EventStream(max_events=3)
+        stream = events_recorder(max_events=3)
         for _ in range(5):
             stream.emit("heartbeat")
         assert len(stream.events) == 3
@@ -69,12 +74,12 @@ class TestEventBasics:
     def test_emit_accepts_kind_data_key(self):
         # "kind" is a natural data key (kernel vs cube); the positional-only
         # parameter must not collide with it.
-        stream = EventStream()
+        stream = events_recorder()
         stream.emit("kernel_chosen", kind="cube", gain=3)
         assert stream.events[0].data == {"kind": "cube", "gain": 3}
 
     def test_thread_safe_total_order(self):
-        stream = EventStream()
+        stream = events_recorder()
 
         def pump():
             for _ in range(200):
@@ -93,7 +98,7 @@ class TestEventBasics:
 class TestSinks:
     def test_jsonl_sink_streams_valid_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        stream = EventStream(sinks=[JsonlSink(str(path))])
+        stream = Tracer(sinks=[JsonlSink(str(path))], max_spans=0)
         stream.emit("job_start", job="a")
         stream.emit("job_end", job="a", error=None)
         stream.close()
@@ -109,14 +114,14 @@ class TestSinks:
             seen.append(event.kind)
             raise RuntimeError("consumer bug")
 
-        stream = EventStream(sinks=[CallbackSink(bad)])
+        stream = Tracer(sinks=[CallbackSink(bad)], max_spans=0)
         stream.emit("heartbeat")  # must not raise
         assert seen == ["heartbeat"]
 
     def test_multiple_sinks_fan_out(self):
         ring = RingBufferSink()
         seen = []
-        stream = EventStream(sinks=[ring, CallbackSink(seen.append)])
+        stream = Tracer(sinks=[ring, CallbackSink(seen.append)], max_spans=0)
         stream.emit("cache_hit", job="x")
         assert [e.kind for e in ring.events] == ["cache_hit"]
         assert [e.kind for e in seen] == ["cache_hit"]
@@ -124,10 +129,10 @@ class TestSinks:
 
 class TestAdopt:
     def test_adopt_resequences_and_labels(self):
-        child = EventStream()
+        child = events_recorder()
         child.emit("job_start", job="inner")
         child.emit("phase_start", name="search")
-        parent = EventStream()
+        parent = events_recorder()
         parent.emit("cache_miss", job="outer")
         parent.adopt(child.snapshot().to_dict(), job="outer")
         kinds = [e.kind for e in parent.events]
@@ -139,9 +144,9 @@ class TestAdopt:
         assert parent.events[2].data["job"] == "outer"
 
     def test_adopt_rebases_timestamps(self):
-        child = EventStream()
+        child = events_recorder()
         child.emit("heartbeat")
-        parent = EventStream()
+        parent = events_recorder()
         snapshot = child.snapshot()
         snapshot.epoch_wall = parent.epoch_wall + 2.0
         parent.adopt(snapshot)
@@ -150,21 +155,21 @@ class TestAdopt:
 
 class TestAmbient:
     def test_default_is_null(self):
-        assert current_events().enabled in (False, True)  # never raises
+        assert current_tracer().emitting in (False, True)  # never raises
 
     def test_use_events_scopes(self):
-        stream = EventStream()
-        before = current_events()
-        with use_events(stream):
-            assert current_events() is stream
-        assert current_events() is before
+        stream = events_recorder()
+        before = current_tracer()
+        with use_tracer(stream):
+            assert current_tracer() is stream
+        assert current_tracer() is before
 
     def test_null_stream_is_inert(self):
-        NULL_EVENTS.emit("heartbeat", anything=1)
-        NULL_EVENTS.adopt({"kind": "events", "epoch_wall": 0.0})
-        NULL_EVENTS.close()
-        assert NULL_EVENTS.events == []
-        assert NULL_EVENTS.enabled is False
+        NULL_TRACER.emit("heartbeat", anything=1)
+        NULL_TRACER.adopt({"kind": "trace", "epoch_wall": 0.0}, job="x")
+        NULL_TRACER.close()
+        assert NULL_TRACER.events == []
+        assert NULL_TRACER.emitting is False
 
     def test_env_events_settings_falsy_matrix(self, monkeypatch):
         for value, expected in [
@@ -187,7 +192,7 @@ class TestAmbient:
 
 class TestValidator:
     def test_valid_stream_passes(self):
-        stream = EventStream()
+        stream = events_recorder()
         stream.emit("phase_start", name="x")
         stream.emit("phase_end", name="x")
         lines = "\n".join(
@@ -220,27 +225,53 @@ class TestValidator:
 
 class TestZeroCost:
     def test_disabled_synthesis_allocates_no_events(self):
-        """The NULL_EVENTS hot path must allocate zero Event objects."""
+        """The NULL_TRACER hot path must allocate zero Event objects."""
         system = get_system("Table 14.1")
         options = SynthesisOptions()
         clear_synthesis_caches()
         synthesize(list(system.polys), system.signature, options)  # warm imports
         clear_synthesis_caches()
-        before = event_allocation_count()
+        before = allocation_counts()
         synthesize(list(system.polys), system.signature, options)
-        assert event_allocation_count() == before
+        assert allocation_counts()["events"] == before["events"]
 
     def test_enabled_synthesis_does_allocate(self):
         system = get_system("Table 14.1")
         clear_synthesis_caches()
-        stream = EventStream()
-        before = event_allocation_count()
-        with use_events(stream):
+        stream = events_recorder()
+        before = allocation_counts()
+        with use_tracer(stream):
             synthesize(list(system.polys), system.signature, SynthesisOptions())
-        assert event_allocation_count() > before
+        assert allocation_counts()["events"] > before["events"]
         kinds = {e.kind for e in stream.events}
         assert "phase_start" in kinds
         assert "combo_scored" in kinds
+
+    @pytest.mark.parametrize(
+        "make, kept",
+        [
+            (lambda: NULL_TRACER, set()),
+            # The service's and --events-out's setup: events only, uncapped.
+            (
+                lambda: Tracer(
+                    sinks=[RingBufferSink()], max_spans=0, max_events=None
+                ),
+                {"events"},
+            ),
+            (lambda: Tracer(), {"spans"}),  # --trace-out: spans only
+            (lambda: Tracer(sinks=[RingBufferSink()]), {"spans", "events"}),
+        ],
+        ids=["disabled", "events-only", "spans-only", "both"],
+    )
+    def test_recorder_allocates_only_what_it_keeps(self, make, kept):
+        system = get_system("Table 14.1")
+        clear_synthesis_caches()
+        recorder = make()
+        before = allocation_counts()
+        with use_tracer(recorder):
+            synthesize(list(system.polys), system.signature, SynthesisOptions())
+        after = allocation_counts()
+        assert {kind for kind in after if after[kind] > before[kind]} == kept
 
     def test_events_do_not_change_results(self):
         from repro.serialize import decomposition_to_dict
@@ -250,7 +281,7 @@ class TestZeroCost:
         clear_synthesis_caches()
         plain = synthesize(list(system.polys), system.signature, options)
         clear_synthesis_caches()
-        with use_events(EventStream()):
+        with use_tracer(events_recorder()):
             observed = synthesize(
                 list(system.polys), system.signature, options
             )

@@ -10,7 +10,7 @@ import pytest
 from repro import BitVectorSignature, PolySystem, parse_system
 from repro.config import RunConfig
 from repro.engine import BatchEngine, BatchJob
-from repro.obs import EventStream
+from repro.obs import Tracer
 from repro.serialize import system_to_dict
 from repro.service import (
     AdmissionRejected,
@@ -110,12 +110,14 @@ class TestRunToDone:
             service.stop()
 
     def test_job_tails_outlive_the_stream_default_cap(self, tmp_path, monkeypatch):
-        """The service's stream has no lifetime cap: past the default
+        """The service's recorder has no event cap: past the default
         cap, later jobs still get their lifecycle tails.  A tiny job
         emits ~33 events, so a default cap of 60 would leave the fourth
         job's tail empty."""
-        sinks_default, _ = EventStream.__init__.__defaults__
-        monkeypatch.setattr(EventStream.__init__, "__defaults__", (sinks_default, 60))
+        sinks_default, spans_default, _ = Tracer.__init__.__defaults__
+        monkeypatch.setattr(
+            Tracer.__init__, "__defaults__", (sinks_default, spans_default, 60)
+        )
         service = make_service(tmp_path)
         service.start()
         try:
@@ -125,7 +127,7 @@ class TestRunToDone:
             kinds = [e.get("event") for e in service.store.events_for(record.job_id)]
             assert "job_start" in kinds
             assert "job_end" in kinds
-            assert service.events.dropped == 0
+            assert service.recorder.dropped == 0
         finally:
             service.stop()
 

@@ -1,6 +1,8 @@
 """Tests for the crash-safe WAL job store (repro.service.store)."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -187,6 +189,25 @@ class TestDurability:
         assert done.result == '{"r": 1}'
         assert done.fingerprint == "a" * 64
         assert replayed.get(b.job_id).state == JobState.QUEUED
+
+    def test_reopen_closes_the_wal_read_handles(self, tmp_path):
+        store = JobStore(tmp_path)
+        submit(store, key="a")
+        store.close()
+        submit(JobStore(tmp_path), key="b")  # left open: the crash case
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            reopened = JobStore(tmp_path)
+            gc.collect()
+        leaks = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and "wal-" in str(w.message) and "mode='r'" in str(w.message)
+        ]
+        assert leaks == []
+        assert len(reopened) == 2
+        reopened.close()
 
     def test_replay_preserves_job_counter(self, tmp_path):
         store = JobStore(tmp_path)
