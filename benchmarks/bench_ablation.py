@@ -60,7 +60,7 @@ def test_ablation_system(system_name, benchmark):
         )
 
 
-def test_ablation_summary(recorder, benchmark):
+def test_ablation_summary(benchmark):
     if len(_AREAS) < len(SYSTEMS) * len(VARIANTS):
         pytest.skip("ablation rows did not all run")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -25,7 +25,7 @@ def _run():
     return synthesize(list(system.polys), system.signature)
 
 
-def test_fig_14_1_representation_lists(benchmark, recorder):
+def test_fig_14_1_representation_lists(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = []
     for index, reps in enumerate(result.representation_lists):
@@ -45,7 +45,7 @@ def test_fig_14_1_representation_lists(benchmark, recorder):
     assert len(result.chosen) == 4
 
 
-def test_fig_14_1_canonical_sharing(benchmark, recorder):
+def test_fig_14_1_canonical_sharing(benchmark):
     system = section_14_3_1_system()
 
     def forms():

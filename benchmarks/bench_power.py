@@ -39,7 +39,7 @@ def test_power_row(name, benchmark):
     assert powers["proposed"] <= powers["factor+cse"] * 1.0001
 
 
-def test_power_summary(recorder, benchmark):
+def test_power_summary(benchmark):
     if len(_ROWS) < len(SYSTEMS):
         pytest.skip("power rows did not all run")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

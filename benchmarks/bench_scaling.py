@@ -45,7 +45,7 @@ def test_scaling_window(window, benchmark):
     assert proposed.area <= baseline.area * 1.0001
 
 
-def test_scaling_summary(recorder, benchmark):
+def test_scaling_summary(benchmark):
     if len(_ROWS) < len(WINDOWS):
         pytest.skip("scaling rows did not all run")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -38,7 +38,7 @@ def test_schedule_row(name, benchmark):
     assert latencies["proposed"] <= latencies["direct"]
 
 
-def test_schedule_summary(recorder, benchmark):
+def test_schedule_summary(benchmark):
     if len(_ROWS) < len(SYSTEMS):
         pytest.skip("schedule rows did not all run")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -38,7 +38,7 @@ def _rows():
     return rows
 
 
-def test_table_14_1(benchmark, recorder):
+def test_table_14_1(benchmark):
     rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
     lines = [f"{'decomposition':24s} {'MULT':>5s} {'ADD':>4s}   paper"]
     for name, count, paper in rows:

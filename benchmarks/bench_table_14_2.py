@@ -16,7 +16,7 @@ def _run():
     return synthesize(list(system.polys), system.signature)
 
 
-def test_table_14_2(benchmark, recorder):
+def test_table_14_2(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [
         f"initial cost : {result.initial_op_count}   (paper: 51 MULT, 21 ADD)",

@@ -57,7 +57,7 @@ def test_table_14_3_row(name, benchmark):
     assert system.num_polys >= 1
 
 
-def test_table_14_3_summary(recorder, benchmark):
+def test_table_14_3_summary(benchmark):
     # Runs after the rows thanks to file ordering; tolerate partial runs.
     if len(_RESULTS) < len(TABLE_14_3_SYSTEMS):
         pytest.skip("row benches did not all run")

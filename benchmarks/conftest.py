@@ -10,24 +10,9 @@ from __future__ import annotations
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(__file__))
 
-from bench_common import record_table, recorded_tables, write_perf_baseline  # noqa: E402
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the machine-readable perf baseline (see BENCH_PR10.json).
-
-    ``REPRO_BENCH_JSON`` overrides the output path; nothing is written
-    when no benchmark exercised :func:`bench_common.compare_system`.
-    Compare the result against a prior baseline with ``bench_compare.py``.
-    """
-    path = os.environ.get("REPRO_BENCH_JSON") or os.path.join(
-        os.path.dirname(__file__), "BENCH_PR10.json"
-    )
-    write_perf_baseline(path)
+from bench_common import recorded_tables  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -41,9 +26,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"--- {title}")
         for line in lines:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def recorder():
-    """Fixture handing benches the table recorder."""
-    return record_table

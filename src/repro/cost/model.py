@@ -23,7 +23,7 @@ class TechnologyModel:
     half_adder_area: float = 3.0
     and_gate_area: float = 1.5
     inverter_area: float = 0.7
-    register_area: float = 5.0  # unused by combinational estimates, kept for extensions
+    register_area: float = 5.0  # one pipeline register (dfg.pipeline prices stage cuts with it)
 
     full_adder_delay: float = 2.0   # carry-to-carry
     and_gate_delay: float = 1.0

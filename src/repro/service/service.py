@@ -63,7 +63,6 @@ from repro.obs import (
     CallbackSink,
     Event,
     JsonlSink,
-    RingBufferSink,
     Tracer,
     use_tracer,
 )
@@ -147,12 +146,12 @@ class SynthesisService:
             max_queue_depth=config.max_queue_depth,
             max_job_seconds=config.max_job_seconds,
         )
-        sinks: list[Any] = [RingBufferSink(), CallbackSink(self._on_event)]
+        sinks: list[Any] = [CallbackSink(self._on_event)]
         if config.events_out:
             sinks.append(JsonlSink(config.events_out))
         # Events only, and no lifetime cap: the recorder lives as long as
-        # the service, and its sinks (ring buffer, per-job tails) already
-        # bound themselves.
+        # the service and keeps no events itself; the per-job tails bound
+        # themselves and the optional JSONL file streams to disk.
         self.recorder = Tracer(sinks=sinks, max_spans=0, max_events=None)
         self._engines: dict[str, BatchEngine] = {}
         self._engines_lock = threading.Lock()

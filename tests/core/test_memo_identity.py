@@ -16,8 +16,10 @@ the whole flow under the default (disabled) tracer must allocate zero
 
 import pytest
 
-from repro.core import synthesize
+from repro.core import synth, synthesize
 from repro.core.synth import clear_synthesis_caches
+from repro.cse import kernels
+from repro.factor import factorize
 from repro.fuzz import SHAPES, generate_case, generate_cases
 from repro.obs import NULL_TRACER, Tracer, allocation_counts, current_tracer, use_tracer
 
@@ -87,6 +89,20 @@ def _ordered_fingerprint(result):
 class TestWarmProcessStream:
     def test_warm_stream_matches_cold_reruns(self):
         """A fuzz stream in one warm process, each system re-run cold."""
+        cases = generate_cases(0, 40)
+        clear_synthesis_caches()
+        warm = [_ordered_fingerprint(_run(case.system)) for case in cases]
+        for case, expected in zip(cases, warm):
+            clear_synthesis_caches()
+            assert _ordered_fingerprint(_run(case.system)) == expected, case.index
+
+    def test_warm_stream_with_tiny_memo_bounds_matches_cold_reruns(self, monkeypatch):
+        """The same stream with every memo clearing itself wholesale
+        every few entries: a clear in the middle of a system must not
+        change its result."""
+        monkeypatch.setattr(kernels, "_KERNEL_CACHE_MAX", 5)
+        monkeypatch.setattr(synth, "_BEST_EXPR_CACHE_MAX", 5)
+        monkeypatch.setattr(factorize, "_FACTOR_CACHE_MAX", 3)
         cases = generate_cases(0, 40)
         clear_synthesis_caches()
         warm = [_ordered_fingerprint(_run(case.system)) for case in cases]

@@ -131,6 +131,21 @@ class TestRunToDone:
         finally:
             service.stop()
 
+    def test_recorder_keeps_no_events_beyond_the_job_tails(self, tmp_path):
+        """Nothing reads the service recorder's own buffer, so it keeps
+        none: a finished job's events live only in its store tail."""
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            record, _ = service.submit(system_to_dict(tiny_system(31)))
+            wait_terminal(service, record.job_id)
+            kinds = [e.get("event") for e in service.store.events_for(record.job_id)]
+            assert kinds[0] == "job_queued"
+            assert kinds[-1] == "job_end"
+            assert service.recorder.events == []
+        finally:
+            service.stop()
+
 
 class TestIdleWake:
     """A submit or stop wakes an idle worker at once; ``poll_seconds``
