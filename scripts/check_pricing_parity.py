@@ -4,7 +4,7 @@
 Synthesizes the ten paper-table systems (with their benchmark options)
 and the first 100 fuzz-stream systems of seed 0, recording every
 polynomial the flow prices from its terms: the representations and
-block closures ``_standalone_weight`` ranks, the systems ``direct_cost``
+block closures ``_standalone_price`` ranks, the systems ``direct_cost``
 prices and the rows ``best_expression`` compares against Horner.  Each
 recorded polynomial's ``sop_op_count`` must equal
 ``expr_op_count(expr_from_polynomial(poly))``, the count of the direct

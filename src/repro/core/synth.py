@@ -83,14 +83,8 @@ class SynthesisOptions:
     enable_cube_extraction: bool = True
     enable_division: bool = True
     enable_final_cse: bool = True
-    max_division_candidates: int = 6
-    max_representations: int = 10
     exhaustive_limit: int = 600
-    descent_sweeps: int = 3
     descent_budget: int = 150  # max combinations scored during descent
-    mul_weight: int = 20
-    cmul_weight: int = 2
-    add_weight: int = 1
     objective: str = "area"  # "area" (hardware estimate) or "ops" (weighted count)
 
 
@@ -123,12 +117,6 @@ class SynthesisResult:
             lines.extend(f"  {d}" for d in self.degradations)
         lines += ["", self.decomposition.summary()]
         return "\n".join(lines)
-
-
-def _weighted(count: OpCount, options: SynthesisOptions) -> int:
-    return count.weighted(
-        options.mul_weight, options.cmul_weight, options.add_weight
-    )
 
 
 def _retag_vars(expr: Expr, block_names: set[str]) -> Expr:
@@ -221,7 +209,7 @@ def best_expression(poly: Polynomial) -> Expr:
     if hit is not None:
         return hit
     horner = horner_greedy(poly)
-    if _op_weight(expr_op_count(horner)) < _op_weight(sop_op_count(poly)):
+    if expr_op_count(horner).weighted() < sop_op_count(poly).weighted():
         best = horner
     else:
         best = expr_from_polynomial(poly)
@@ -234,10 +222,6 @@ def best_expression(poly: Polynomial) -> Expr:
 def refactored_expression(poly: Polynomial, block_names: set[str]) -> Expr:
     """Best expression of a polynomial with block variables as BlockRefs."""
     return _retag_vars(best_expression(poly), block_names)
-
-
-def _op_weight(count: OpCount) -> int:
-    return count.weighted()
 
 
 def _live_closure(polys: list[Polynomial], defs: dict[str, Polynomial]) -> list[str]:
@@ -318,7 +302,6 @@ def _dag_score(
     chosen: list[Representation],
     live: list[str],
     registry: BlockRegistry,
-    options: SynthesisOptions,
     dag: ExpressionDAG,
 ) -> float:
     """Score one combination on the shared expression DAG.
@@ -335,11 +318,7 @@ def _dag_score(
     defs = registry.defs
     roots = [dag.intern(rep.poly) for rep in chosen]
     roots.extend(dag.intern(defs[name]) for name in live)
-    return float(
-        dag.combination_cost(
-            roots, options.mul_weight, options.cmul_weight, options.add_weight
-        )
-    )
+    return float(dag.combination_cost(roots))
 
 
 def _score_assembled(
@@ -348,7 +327,7 @@ def _score_assembled(
     signature: BitVectorSignature | None,
 ) -> float:
     """Objective value of an already-assembled decomposition."""
-    ops = _weighted(decomposition.op_count(), options)
+    ops = decomposition.op_count().weighted()
     if options.objective == "area" and signature is not None:
         from repro.cost import estimate_decomposition
 
@@ -358,27 +337,23 @@ def _score_assembled(
     return float(ops)
 
 
-def _standalone_weight(poly: Polynomial, registry: BlockRegistry) -> int:
-    """Weighted SOP cost of a representation *including* its block closure.
+def _standalone_price(
+    poly: Polynomial, defs: dict[str, Polynomial]
+) -> tuple[int, set[str]]:
+    """Weighted SOP cost of a representation *including* its block
+    closure, and the closure it walked.
 
     A representation like ``12*_b7 + 9*_b8 + 2*_b10`` looks free until the
     blocks it references are paid for; pruning must see the whole bill
     (shared blocks are double-counted across candidates, which is fine
     for a relative ranking).
     """
-    return _standalone_price(poly, registry.defs)[0]
-
-
-def _standalone_price(
-    poly: Polynomial, defs: dict[str, Polynomial]
-) -> tuple[int, set[str]]:
-    """:func:`_standalone_weight` and the block closure it walked."""
     total = 0
     seen: set[str] = set()
     frontier = [poly]
     while frontier:
         current = frontier.pop()
-        total += _op_weight(sop_op_count(current))
+        total += sop_op_count(current).weighted()
         for var in current.used_vars():
             if var in defs and var not in seen:
                 seen.add(var)
@@ -386,7 +361,7 @@ def _standalone_price(
     return total, seen
 
 
-def direct_cost(system: list[Polynomial], options: SynthesisOptions) -> OpCount:
+def direct_cost(system: list[Polynomial]) -> OpCount:
     """Cost of the naive expanded implementation (the paper's C_initial base)."""
     total = OpCount()
     for poly in system:
@@ -581,7 +556,7 @@ def _degraded_result(
         raise RuntimeError(
             "degradation ladder exhausted without a valid decomposition"
         )
-    initial = direct_cost(system, options)
+    initial = direct_cost(system)
     lists = [[Representation(poly, "original")] for poly in system]
     provenance = Provenance(
         objective=options.objective,
@@ -644,8 +619,8 @@ def _synthesize_flow(
     _cube_extract_phase(phase, system, lists, registry, options)
     _refine_phase(phase, registry, options)
     if options.enable_division:
-        _division_phase(phase, system, lists, registry, options)
-    lists, prices = _prune_phase(phase, lists, registry, options)
+        _division_phase(phase, system, lists, registry)
+    lists, prices = _prune_phase(phase, lists, registry)
     best_indices, decomposition, provenance = _search_phase(
         phase, system, signature, lists, prices, registry, options, deadline,
         degradations,
@@ -660,7 +635,7 @@ def _synthesize_flow(
     return SynthesisResult(
         decomposition=decomposition,
         op_count=decomposition.op_count(),
-        initial_op_count=direct_cost(system, options),
+        initial_op_count=direct_cost(system),
         representation_lists=lists,
         chosen=best_indices,
         registry=registry,
@@ -808,15 +783,12 @@ def _division_phase(
     system: list[Polynomial],
     lists: list[list[Representation]],
     registry: BlockRegistry,
-    options: SynthesisOptions,
 ) -> None:
     """Phase 5: algebraic division candidates (Fig. 14.1b)."""
     with phase("division", skippable=True) as clock:
         division_hits = 0
         for poly, reps in zip(system, lists):
-            for candidate in division_candidates(
-                poly, registry, options.max_division_candidates
-            ):
+            for candidate in division_candidates(poly, registry):
                 reps.append(Representation(candidate, "division"))
                 division_hits += 1
             cce_reps = [r for r in reps if r.tag.startswith("cce")]
@@ -835,7 +807,6 @@ def _prune_phase(
     phase,
     lists: list[list[Representation]],
     registry: BlockRegistry,
-    options: SynthesisOptions,
 ) -> tuple[list[list[Representation]], list[list[tuple[int, set[str]]]]]:
     """Dedupe each list and keep the cheapest few (always keep original).
 
@@ -852,7 +823,7 @@ def _prune_phase(
             reps = dedupe_representations(reps)
             prices = [_standalone_price(rep.poly, registry.defs) for rep in reps]
             ranked = sorted(range(len(reps)), key=lambda k: prices[k][0])
-            keep = ranked[: options.max_representations]
+            keep = ranked[:_MAX_REPRESENTATIONS]
             if 0 not in keep:
                 keep.append(0)
             pruned.append([reps[k] for k in keep])
@@ -905,9 +876,7 @@ def _search_phase(
         live: set[int] = set()
         for i, j in enumerate(indices):
             live |= closures[i][j]
-        cost = _dag_score(
-            chosen, [names[k] for k in sorted(live)], registry, options, dag
-        )
+        cost = _dag_score(chosen, [names[k] for k in sorted(live)], registry, dag)
         cache[indices] = cost
         scored += 1
         if emitting:
@@ -990,8 +959,8 @@ def _search_phase(
             dag_intern_hits=sharing.intern_hits,
             dag_shared_nodes=sharing.shared_nodes,
             dag_finalists=len(finalists),
-            ops_initial=_weighted(direct_cost(system, options), options),
-            ops_final=_weighted(decomposition.op_count(), options),
+            ops_initial=direct_cost(system).weighted(),
+            ops_final=decomposition.op_count().weighted(),
         )
 
     provenance = Provenance(
@@ -1036,6 +1005,14 @@ _PRUNE_FACTOR = 3.0
 #: family seeds keep the finalist pass small without re-paying the
 #: per-combination CSE cost the surrogate exists to avoid.
 _DAG_FINALISTS = 4
+
+#: Representations each polynomial keeps after the prune phase (the
+#: original is kept on top), ranked by :func:`_standalone_price`.
+_MAX_REPRESENTATIONS = 10
+
+#: Full coordinate-descent sweeps over the representation lists when the
+#: search space is too large for exhaustive scoring.
+_DESCENT_SWEEPS = 3
 
 
 def _shortlist(
@@ -1207,7 +1184,7 @@ def _seeded_descent(
         row[j] for row, j in zip(weights, best_indices)
     )
     bound = _PRUNE_FACTOR * best_surrogate
-    for _ in range(options.descent_sweeps):
+    for _ in range(_DESCENT_SWEEPS):
         improved = False
         for i in range(len(sizes)):
             for j in range(sizes[i]):

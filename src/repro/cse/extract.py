@@ -43,15 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.expr.cost import ADD_WEIGHT, CMUL_WEIGHT, MUL_WEIGHT
 from repro.poly import Polynomial
-from repro.poly.monomial import Exponents, mono_literal_count, mono_mul
+from repro.poly.monomial import Exponents, mono_mul
 
 from .kcm import KernelCubeMatrix
 from .kernels import trimmed_kernels
-
-_MUL_WEIGHT = 20   # variable x variable multiply (array multiplier)
-_CMUL_WEIGHT = 2   # multiply by a compile-time constant (CSD shift-add)
-_ADD_WEIGHT = 1
 
 #: Row ids are ``poly index << _ROW_SHIFT | kernel position``, so they
 #: sort in row order: polynomial by polynomial, kernels in enumeration
@@ -86,18 +83,10 @@ def _weight(coeff: int, literals: int) -> int:
     Variable-by-variable multiplies dominate; the coefficient multiply is
     a cheap shift-add network.
     """
-    weight = max(literals - 1, 0) * _MUL_WEIGHT
+    weight = max(literals - 1, 0) * MUL_WEIGHT
     if abs(coeff) != 1 and literals:
-        weight += _CMUL_WEIGHT
+        weight += CMUL_WEIGHT
     return weight
-
-
-def _poly_weight(poly: Polynomial) -> int:
-    """Weighted operator cost of a polynomial implemented as a direct SOP."""
-    total = sum(_weight(c, mono_literal_count(e)) for e, c in poly.terms.items())
-    if len(poly) > 1:
-        total += (len(poly) - 1) * _ADD_WEIGHT
-    return total
 
 
 def _normalize_sign(poly: Polynomial) -> Polynomial:
@@ -482,12 +471,12 @@ class _Extractor:
         literals_of, cokernel = self._mono_literals, self._cokernel
         gain = -sum(_weight(c, literals) for literals, c in terms) - (
             len(terms) - 1
-        ) * _ADD_WEIGHT
+        ) * ADD_WEIGHT
         for row in candidate.matches:
             literals = literals_of[cokernel[row]]
             saved = per_row.get(literals)
             if saved is None:
-                saved = (len(terms) - 1) * _ADD_WEIGHT - literals * _MUL_WEIGHT
+                saved = (len(terms) - 1) * ADD_WEIGHT - literals * MUL_WEIGHT
                 for term_literals, c in terms:
                     saved += _weight(c, literals + term_literals)
                 per_row[literals] = saved
@@ -779,8 +768,8 @@ class _Extractor:
                 self._tick(len(self._term_counts), "cse/rescore")
             if cube.occurrences < 2:
                 continue
-            gain = cube.saved - max(cube.literals - 1, 0) * _MUL_WEIGHT - (
-                _CMUL_WEIGHT if key[0] != 1 else 0
+            gain = cube.saved - max(cube.literals - 1, 0) * MUL_WEIGHT - (
+                CMUL_WEIGHT if key[0] != 1 else 0
             )
             if gain > best_gain:
                 best_gain = gain

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.expr.cost import ADD_WEIGHT, CMUL_WEIGHT, MUL_WEIGHT
 from repro.poly import Polynomial
 
 #: Node kinds of the store, in interning-dependency order.
@@ -266,13 +267,7 @@ class ExpressionDAG:
         found.sort(key=lambda s: (-s.literals, s.pairs))
         return tuple(found)
 
-    def combination_cost(
-        self,
-        roots: Iterable[int],
-        mul_weight: int = 20,
-        cmul_weight: int = 2,
-        add_weight: int = 1,
-    ) -> int:
+    def combination_cost(self, roots: Iterable[int]) -> int:
         """Weighted operator count of a set of rows, sharing included.
 
         Each distinct product node reachable from the rows is paid once
@@ -280,6 +275,7 @@ class ExpressionDAG:
         row set realizes.  Coefficient multiplies and joining adds are
         per-row, from the memoized per-sum deltas.  Duplicate rows (same
         sum node) are paid once, mirroring what CSE would collapse.
+        Weights are the :mod:`repro.expr.cost` price list.
         """
         seen: set[int] = set()
         products: set[int] = set()
@@ -289,13 +285,14 @@ class ExpressionDAG:
                 continue
             seen.add(sid)
             cost += (
-                self._sum_cmuls[sid] * cmul_weight
-                + self._sum_adds[sid] * add_weight
+                self._sum_cmuls[sid] * CMUL_WEIGHT
+                + self._sum_adds[sid] * ADD_WEIGHT
             )
             products |= self._sum_products[sid]
         nodes = self._nodes
+        mul_price = MUL_WEIGHT
         for mid in products:
-            cost += (nodes[mid].literals - 1) * mul_weight
+            cost += (nodes[mid].literals - 1) * mul_price
         return cost
 
 

@@ -347,9 +347,7 @@ def _run_job_payload(
                         with timings.phase(f"method:{method}"):
                             decomposition = fn(system, options)
                         op_count = decomposition.op_count()
-                        initial = direct_cost(
-                            list(system.polys), options or SynthesisOptions()
-                        )
+                        initial = direct_cost(list(system.polys))
                 payload.update(
                     decomposition=decomposition_to_dict(decomposition),
                     op_count=op_count_to_dict(op_count),

@@ -30,6 +30,14 @@ from repro.poly import Polynomial
 
 from .ast import Add, BlockRef, Const, Expr, Mul, Pow, Var
 
+#: The in-flow price list Algorithm 7 ranks with, sized for 16-bit
+#: datapaths: an array multiplier is about twenty ripple adders, a CSD
+#: constant multiplier about two.  Exact area comes from
+#: :mod:`repro.cost`; these weights are the fast surrogate.
+MUL_WEIGHT = 20   # variable x variable multiply (array multiplier)
+CMUL_WEIGHT = 2   # multiply by a compile-time constant (CSD shift-add)
+ADD_WEIGHT = 1
+
 
 @dataclass(frozen=True)
 class OpCount:
@@ -61,19 +69,13 @@ class OpCount:
         """Plain operator total (used only for quick comparisons)."""
         return self.mul + self.add
 
-    def weighted(
-        self, mul_weight: int = 20, cmul_weight: int = 2, add_weight: int = 1
-    ) -> int:
-        """Weighted cost approximating relative hardware area.
-
-        Defaults reflect 16-bit datapaths: an array multiplier is about
-        twenty ripple adders, a CSD constant multiplier about two.  Exact
-        area comes from :mod:`repro.cost`; this is the fast surrogate.
-        """
+    def weighted(self) -> int:
+        """Weighted cost approximating relative hardware area (the
+        :data:`MUL_WEIGHT`/:data:`CMUL_WEIGHT`/:data:`ADD_WEIGHT` list)."""
         return (
-            self.variable_mul * mul_weight
-            + self.const_mul * cmul_weight
-            + self.add * add_weight
+            self.variable_mul * MUL_WEIGHT
+            + self.const_mul * CMUL_WEIGHT
+            + self.add * ADD_WEIGHT
         )
 
     def __str__(self) -> str:

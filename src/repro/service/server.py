@@ -322,7 +322,6 @@ class ServiceServer:
             "state": record.state,
             "fingerprint": record.fingerprint,
             "error": record.error,
-            "reused_from": record.reused_from,
             "result": (
                 json.loads(record.result) if record.result is not None else None
             ),

@@ -372,14 +372,12 @@ class SynthesisService:
                 if not leased:
                     self._wake.wait(self.config.poll_seconds)
                     continue
+                groups: dict[str, list[JobRecord]] = {}
                 for record in leased:
                     self.recorder.emit(
                         "job_leased", job=record.job_id,
                         lease=record.lease_id, tenant=record.tenant,
                     )
-                runnable = self._reuse_idempotent(leased)
-                groups: dict[str, list[JobRecord]] = {}
-                for record in runnable:
                     groups.setdefault(self._group_key(record), []).append(record)
                 for group in groups.values():
                     self._run_group(group)
@@ -399,33 +397,6 @@ class SynthesisService:
                 "job_dead_letter", job=record.job_id,
                 redeliveries=record.redeliveries,
             )
-
-    def _reuse_idempotent(self, leased: list[JobRecord]) -> list[JobRecord]:
-        """Serve re-deliveries whose result already exists — never run a
-        job's side effects twice."""
-        runnable: list[JobRecord] = []
-        for record in leased:
-            donor = self.store.completed_result_for_key(
-                record.key, exclude=record.job_id
-            )
-            if donor is None:
-                runnable.append(record)
-                continue
-            assert record.lease_id is not None
-            self.store.start(record.job_id, record.lease_id)
-            self.store.complete(
-                record.job_id,
-                record.lease_id,
-                JobState.DONE,
-                result=donor.result,
-                fingerprint=donor.fingerprint,
-                reused_from=donor.job_id,
-            )
-            logger.info(
-                "job %s: reused result of %s (idempotency key %s)",
-                record.job_id, donor.job_id, record.key[:12],
-            )
-        return runnable
 
     def _run_group(self, group: list[JobRecord]) -> None:
         engine = self._engine_for(group[0])

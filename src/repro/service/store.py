@@ -43,7 +43,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -124,7 +124,6 @@ _MUTABLE_FIELDS = (
     "result",
     "fingerprint",
     "error",
-    "reused_from",
     "history",
 )
 
@@ -155,7 +154,6 @@ class JobRecord:
     result: str | None = None      # canonical result JSON (JobResult.canonical_result)
     fingerprint: str | None = None  # sha256 of the canonical result
     error: str | None = None
-    reused_from: str | None = None  # job id whose result was reused (idempotency)
     history: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -169,8 +167,8 @@ class JobRecord:
     def from_dict(cls, data: dict[str, Any]) -> "JobRecord":
         if data.get("kind") != "job-record":
             raise ValueError(f"not a job-record payload: {data.get('kind')!r}")
-        payload = {k: v for k, v in data.items() if k != "kind"}
-        return cls(**payload)
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in names})
 
     def public_dict(self) -> dict[str, Any]:
         """The API view: everything except the (potentially large) spec."""
@@ -255,7 +253,7 @@ class JobStore:
             for data in snapshot.get("jobs", ()):
                 record = JobRecord.from_dict(data)
                 self._jobs[record.job_id] = record
-                self._by_key.setdefault(record.key, record.job_id)
+                self._by_key[record.key] = record.job_id
 
         segments = self._segments_on_disk()
         for index, path in segments:
@@ -272,11 +270,6 @@ class JobStore:
         self._truncate_torn_tail(active)
         self._segment_count = self._count_lines(active)
         self._handle = open(active, "a", encoding="utf-8")
-        # Rebuild the idempotency index preferring completed jobs so a
-        # resubmit reuses a finished result over a parked duplicate.
-        for record in self._jobs.values():
-            if record.state == JobState.DONE:
-                self._by_key[record.key] = record.job_id
 
     def _replay_segment(self, path: Path) -> None:
         self._truncate_torn_tail(path)
@@ -322,10 +315,10 @@ class JobStore:
         if kind == SUBMIT_KIND:
             record = JobRecord.from_dict(data["job"])
             self._jobs[record.job_id] = record
-            self._by_key.setdefault(record.key, record.job_id)
-            self._counter = max(
-                self._counter, _counter_of(record.job_id) + 1
-            )
+            # Replay runs in creation order, so each key ends on its
+            # newest job, as live submit leaves it.
+            self._by_key[record.key] = record.job_id
+            self._counter = max(self._counter, _counter_of(record.job_id))
         elif kind == UPDATE_KIND:
             record = self._jobs.get(str(data.get("id")))
             if record is None:
@@ -466,21 +459,6 @@ class JobStore:
             except KeyError:
                 raise UnknownJob(job_id) from None
 
-    def completed_result_for_key(
-        self, key: str, exclude: str | None = None
-    ) -> JobRecord | None:
-        """A ``done`` job holding a result for this idempotency key."""
-        with self._lock:
-            for record in self._jobs.values():
-                if (
-                    record.key == key
-                    and record.state == JobState.DONE
-                    and record.result is not None
-                    and record.job_id != exclude
-                ):
-                    return record
-            return None
-
     def jobs(
         self, state: str | None = None, tenant: str | None = None
     ) -> list[JobRecord]:
@@ -611,7 +589,6 @@ class JobStore:
         result: str | None = None,
         fingerprint: str | None = None,
         error: str | None = None,
-        reused_from: str | None = None,
         now: float | None = None,
     ) -> JobRecord:
         """Finish a running job: ``done``, ``failed``, or ``degraded``."""
@@ -624,7 +601,6 @@ class JobStore:
             record.result = result
             record.fingerprint = fingerprint
             record.error = error
-            record.reused_from = reused_from
             record.lease_id = None
             record.lease_expires_wall = None
             self._transition(record, state, error or "completed", now)

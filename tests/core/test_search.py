@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.core import BlockRegistry, SynthesisOptions, synthesize
 from repro.core.representations import Representation
-from repro.core.synth import _search_seeds, _standalone_weight
+from repro.core.synth import _search_seeds, _standalone_price
 from repro.poly import Polynomial, parse_polynomial as P, parse_system
 from repro.rings import BitVectorSignature
 from repro.suite import get_system
@@ -18,23 +18,23 @@ class TestStandaloneWeight:
         cheap_looking = Polynomial.variable(name).scale(13)
         bare = P("13*x^2 + 26*x*y + 13*y^2")
         # The block-referencing form must be charged for the block body.
-        assert _standalone_weight(cheap_looking, registry) > 0
+        assert _standalone_price(cheap_looking, registry.defs)[0] > 0
         assert (
-            _standalone_weight(cheap_looking, registry)
-            >= _standalone_weight(bare, registry) // 2
+            _standalone_price(cheap_looking, registry.defs)[0]
+            >= _standalone_price(bare, registry.defs)[0] // 2
         )
 
     def test_shared_blocks_counted_once_per_rep(self):
         registry = BlockRegistry(("x", "y"))
         name, _ = registry.register(P("x + y"))
         twice = Polynomial.variable(name) ** 2 + Polynomial.variable(name)
-        w = _standalone_weight(twice, registry)
+        w = _standalone_price(twice, registry.defs)[0]
         assert w > 0
 
 
 def _weights(lists, registry):
     return [
-        [_standalone_weight(rep.poly, registry) for rep in reps]
+        [_standalone_price(rep.poly, registry.defs)[0] for rep in reps]
         for reps in lists
     ]
 

@@ -4,14 +4,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cse import eliminate_common_subexpressions, expand_blocks
-from repro.cse.extract import _poly_weight
+from repro.expr import sop_op_count
 from repro.poly import Polynomial, parse_system
 from tests.conftest import polynomials
 
 
 def weight(result):
-    return sum(_poly_weight(p) for p in result.polys) + sum(
-        _poly_weight(b) for b in result.blocks.values()
+    return sum(sop_op_count(p).weighted() for p in result.polys) + sum(
+        sop_op_count(b).weighted() for b in result.blocks.values()
     )
 
 

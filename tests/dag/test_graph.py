@@ -144,7 +144,7 @@ class TestCombinationCost:
             dag.intern(parse_polynomial("x*y + z")),
         ]
         # One shared product (1 mul), one add per row.
-        assert dag.combination_cost(roots, mul_weight=20, add_weight=1) == 22
+        assert dag.combination_cost(roots) == 22
 
     def test_duplicate_rows_paid_once(self):
         dag = ExpressionDAG()
@@ -155,7 +155,7 @@ class TestCombinationCost:
     def test_coefficient_multiplies_counted_per_row(self):
         dag = ExpressionDAG()
         root = dag.intern(parse_polynomial("3*x + y"))
-        assert dag.combination_cost([root], cmul_weight=2, add_weight=1) == 3
+        assert dag.combination_cost([root]) == 3
 
 
 class TestModuleLevelHelpers:

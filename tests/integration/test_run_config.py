@@ -101,6 +101,12 @@ class TestLegacyRemoval:
         with pytest.raises(TypeError):
             BatchEngine(RunConfig(workers=1), workers=3)
 
+    def test_removed_option_field_rejected(self):
+        data = RunConfig().as_dict()
+        data["options"] = {"mul_weight": 20}
+        with pytest.raises(TypeError):
+            RunConfig.from_dict(data)
+
     def test_synthesize_system_options_keyword_rejected(self):
         system = get_system("Quad")
         with pytest.raises(TypeError):

@@ -134,6 +134,15 @@ class TestEndpoints:
     def test_missing_system_400(self, server):
         assert call(server.address, "/jobs", {"method": "proposed"})[0] == 400
 
+    def test_removed_option_field_400(self, server):
+        status, body, _ = call(
+            server.address, "/jobs",
+            {"system": system_to_dict(tiny_system(16)),
+             "options": {"descent_sweeps": 3}},
+        )
+        assert status == 400
+        assert "descent_sweeps" in body["error"]
+
     def test_cancel_requires_non_started_job(self, server):
         status, body, _ = call(
             server.address, "/jobs",

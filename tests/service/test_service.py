@@ -278,37 +278,6 @@ class TestAdmission:
         service.store.close()
 
 
-class TestIdempotentReuse:
-    def test_redelivered_twin_reuses_completed_result(self, tmp_path):
-        """A leased job whose idempotency key already has a DONE result
-        completes by reference instead of re-running the engine."""
-        service = make_service(tmp_path)
-        store = service.store
-        donor, _ = store.submit(
-            key="K", tenant="t", method="proposed", label="a",
-            system=system_to_dict(tiny_system()),
-        )
-        [leased] = store.lease(1, 30.0)
-        store.start(donor.job_id, leased.lease_id)
-        store.complete(
-            donor.job_id, leased.lease_id, JobState.DONE,
-            result='{"canonical": true}', fingerprint="d" * 64,
-        )
-        twin, _ = store.submit(
-            key="K2", tenant="t", method="proposed", label="b",
-            system=system_to_dict(tiny_system()),
-        )
-        twin.key = "K"  # same content hash as the donor
-        leased_twins = store.lease(1, 30.0)
-        runnable = service._reuse_idempotent(leased_twins)
-        assert runnable == []
-        reused = store.get(twin.job_id)
-        assert reused.state == JobState.DONE
-        assert reused.result == '{"canonical": true}'
-        assert reused.reused_from == donor.job_id
-        store.close()
-
-
 class TestDrainAndResume:
     def test_stop_persists_queued_jobs(self, tmp_path):
         service = make_service(tmp_path)

@@ -107,18 +107,27 @@ class TestIdempotency:
         second, created = submit(store, key="same")
         assert created and second.job_id != first.job_id
 
-    def test_completed_result_lookup(self, tmp_path):
+    @pytest.mark.parametrize("compact", [False, True], ids=["wal", "snapshot"])
+    def test_reopen_dedupes_onto_the_newest_job(self, tmp_path, compact):
+        """Replay leaves each key on its newest job, as live submit does:
+        a key whose first job failed and whose retry is queued dedupes
+        onto the retry after a restart, and job ids stay contiguous."""
         store = JobStore(tmp_path)
-        record, _ = submit(store, key="K")
+        first, _ = submit(store, key="same")
         [leased] = store.lease(1, 30.0)
-        store.start(record.job_id, leased.lease_id)
+        store.start(first.job_id, leased.lease_id)
         store.complete(
-            record.job_id, leased.lease_id, JobState.DONE,
-            result='{"x": 1}', fingerprint="f" * 64,
+            first.job_id, leased.lease_id, JobState.FAILED, error="boom"
         )
-        donor = store.completed_result_for_key("K")
-        assert donor is not None and donor.result == '{"x": 1}'
-        assert store.completed_result_for_key("K", exclude=record.job_id) is None
+        retry, created = submit(store, key="same")
+        assert created
+        if compact:
+            store.close()
+        reopened = JobStore(tmp_path)
+        again, created = submit(reopened, key="same")
+        assert not created and again.job_id == retry.job_id
+        fresh, _ = submit(reopened, key="other")
+        assert fresh.job_id.startswith("j000003-")
 
 
 class TestLeasesAndReaper:
@@ -215,6 +224,22 @@ class TestDurability:
         replayed = JobStore(tmp_path)
         b, _ = submit(replayed, key="b")
         assert b.job_id != a.job_id
+
+    def test_snapshot_from_an_older_release_with_reused_from_loads(
+        self, tmp_path
+    ):
+        """Records written when jobs carried ``reused_from`` still load:
+        unknown record fields are dropped, not fatal."""
+        store = JobStore(tmp_path)
+        record, _ = submit(store, key="a")
+        store.close()
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        snapshot["jobs"][0]["reused_from"] = "j000009-cafecafe"
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
+        reopened = JobStore(tmp_path)
+        assert reopened.get(record.job_id).key == "a"
+        assert not hasattr(reopened.get(record.job_id), "reused_from")
+        reopened.close()
 
     def test_torn_tail_is_truncated(self, tmp_path):
         store = JobStore(tmp_path)
