@@ -34,7 +34,7 @@ from repro.poly.division import _packed_divmod_core
 from repro.poly.packed import PackedContext, packed_form
 
 from .blocks import BlockRegistry
-from .budget import CHECK_STRIDE, current_deadline
+from .budget import current_deadline
 
 #: Seed of the refinement screen's evaluation points.  Fixed, so which
 #: pairs reach exact division never depends on the run or the hash seed.
@@ -221,17 +221,11 @@ def division_candidates(
         v: ctx.unit(i) for i, v in enumerate(ground_poly.vars)
     }
     unit_of[None] = ctx.capshift
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("algdiv/divide")
     with current_tracer().span("algdiv/divide") as span:
         divisors = 0
         for name, divisor in registry.linear_blocks():
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="algdiv/divide")
-                    pending = 0
+            meter.step()
             if name in poly_vars:
                 # The block's own variable appears (with positive degree)
                 # in the polynomial — dividing would be self-referential.
@@ -246,8 +240,7 @@ def division_candidates(
                 # Rank: strongly prefer representations with fewer terms
                 # (more of the polynomial folded into the block structure).
                 candidates.append((_level_term_count(levels), levels, name))
-        if ticking and pending:
-            deadline.tick(pending, site="algdiv/divide")
+        meter.flush()
         span.count(divisors=divisors, candidates=len(candidates))
     candidates.sort(key=lambda item: item[0])
     return [
@@ -286,9 +279,7 @@ def _screen_points(names: set[str]) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def _refine_block_definitions(registry: BlockRegistry) -> int:
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("algdiv/refine")
     rewritten = 0
     names: set[str] = set()
     for ground in registry.ground.values():
@@ -313,11 +304,7 @@ def _refine_block_definitions(registry: BlockRegistry) -> int:
         at_first = ground.evaluate(first)
         at_second = ground.evaluate(second)
         for divisor_name, divisor, divisor_used, l_first, l_second in divisors:
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="algdiv/refine")
-                    pending = 0
+            meter.step()
             if divisor_name == name:
                 continue
             # Exact divisibility over Z needs every divisor variable to
@@ -341,6 +328,5 @@ def _refine_block_definitions(registry: BlockRegistry) -> int:
         if best is not None and len(best) < len(registry.defs[name]):
             registry.rewrite_definition(name, best)
             rewritten += 1
-    if ticking and pending:
-        deadline.tick(pending, site="algdiv/refine")
+    meter.flush()
     return rewritten

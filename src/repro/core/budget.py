@@ -13,8 +13,11 @@ Design mirrors :mod:`repro.obs.tracer`:
 
 * **Near-zero overhead when off.**  The ambient deadline defaults to
   :data:`NULL_DEADLINE`, whose :meth:`~NullDeadline.tick` is an empty
-  method; hot loops fetch the deadline once per function and tick it
-  unconditionally.
+  method.  Per-call checkpoints tick it directly; amortized hot loops
+  take a :class:`Meter` from :meth:`Deadline.meter` once per function,
+  call :meth:`Meter.step` per iteration and :meth:`Meter.flush` at the
+  end.  The meter batches steps into ticks of :data:`CHECK_STRIDE`;
+  with no budget installed it is the shared no-op :data:`NULL_METER`.
 * **Ambient, not threaded.**  A ``ContextVar`` carries the active
   deadline (:func:`current_deadline` / :func:`use_deadline`), so the
   deep call chains (``synthesize`` > ``cse/extract`` > kernel loops)
@@ -128,6 +131,54 @@ class Degradation:
         return f"{self.phase}: {self.action} ({self.reason})"
 
 
+class Meter:
+    """Amortized ticks of one hot loop: one :meth:`Deadline.tick` per stride.
+
+    :meth:`step` accumulates steps and ticks them in one batch once
+    :data:`CHECK_STRIDE` are pending; :meth:`flush` ticks the remainder
+    at loop end.  Batching does not change the accounting: the deadline's
+    stride countdown is denominated in steps, not calls.  A ``site``
+    passed to :meth:`step` renames the meter, so a batch is charged to
+    the site of the step that completed it.
+    """
+
+    __slots__ = ("_deadline", "site", "_pending")
+
+    def __init__(self, deadline: Deadline, site: str) -> None:
+        self._deadline = deadline
+        self.site = site
+        self._pending = 0
+
+    def step(self, n: int = 1, site: str | None = None) -> None:
+        if site is not None:
+            self.site = site
+        self._pending += n
+        if self._pending >= CHECK_STRIDE:
+            self._deadline.tick(self._pending, site=self.site)
+            self._pending = 0
+
+    def flush(self) -> None:
+        """Tick the steps not yet ticked."""
+        if self._pending:
+            self._deadline.tick(self._pending, site=self.site)
+            self._pending = 0
+
+
+class _NullMeter:
+    """The meter of the disabled deadline: every operation is a no-op."""
+
+    __slots__ = ()
+
+    def step(self, n: int = 1, site: str | None = None) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
+
+
+NULL_METER = _NullMeter()
+
+
 class NullDeadline:
     """The disabled deadline: every operation is a cheap no-op."""
 
@@ -137,6 +188,9 @@ class NullDeadline:
 
     def tick(self, n: int = 1, site: str = "") -> None:
         pass
+
+    def meter(self, site: str = "") -> _NullMeter:
+        return NULL_METER
 
     def check(self, site: str = "") -> None:
         pass
@@ -164,9 +218,10 @@ class Deadline:
     """Runtime enforcement of one job's :class:`Budget`.
 
     Created when a job starts; installed as the ambient deadline with
-    :func:`use_deadline`.  Hot loops call :meth:`tick`; phase boundaries
-    call :meth:`start_phase`/:meth:`end_phase` (done by the flow's
-    ``_phase`` machinery).
+    :func:`use_deadline`.  Checkpoints call :meth:`tick`, amortized hot
+    loops step a :meth:`meter`; phase boundaries call
+    :meth:`start_phase`/:meth:`end_phase` (done by the flow's ``_phase``
+    machinery).
     """
 
     __slots__ = (
@@ -209,10 +264,10 @@ class Deadline:
     def tick(self, n: int = 1, site: str = "") -> None:
         """Consume ``n`` steps; check the wall clock every few steps.
 
-        Hot loops may batch: calling ``tick(64)`` once consumes the same
+        Batching is allowed: calling ``tick(64)`` once consumes the same
         steps — and consults the wall clock on the same cadence — as 64
         ``tick()`` calls, because the stride countdown is denominated in
-        steps, not calls.
+        steps, not calls.  :class:`Meter` relies on this.
         """
         if not self._armed:
             return
@@ -229,6 +284,10 @@ class Deadline:
         if self._countdown <= 0:
             self._countdown = CHECK_STRIDE
             self.check(site)
+
+    def meter(self, site: str = "") -> Meter:
+        """A :class:`Meter` that batches one loop's steps into ticks."""
+        return Meter(self, site)
 
     def check(self, site: str = "") -> None:
         """Raise :class:`BudgetExceeded` if any wall-clock limit passed."""

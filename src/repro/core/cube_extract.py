@@ -21,7 +21,7 @@ from repro.obs import current_tracer
 from repro.poly import Polynomial
 
 from .blocks import BlockRegistry
-from .budget import CHECK_STRIDE, current_deadline
+from .budget import current_deadline
 
 
 def exposed_linear_kernels(poly: Polynomial) -> list[Polynomial]:
@@ -56,9 +56,7 @@ def cube_extraction(
     kernels are already seen and harvesting the expansion again would
     register nothing.
     """
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("cube_extract/harvest")
     names: list[str] = []
     seen: set[Polynomial] = set()
     tracer = current_tracer()
@@ -67,13 +65,8 @@ def cube_extraction(
     defs = registry.defs
 
     def harvest(poly: Polynomial) -> None:
-        nonlocal pending
         for kernel in exposed_linear_kernels(poly):
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="cube_extract/harvest")
-                    pending = 0
+            meter.step()
             if any(name in defs for name in kernel.used_vars()):
                 ground = registry.expand(kernel).trim()
             else:
@@ -110,8 +103,7 @@ def cube_extraction(
                     harvest(expanded)
         for block_name in list(registry.defs):
             harvest(registry.ground[block_name])
-        if ticking and pending:
-            deadline.tick(pending, site="cube_extract/harvest")
+        meter.flush()
         span.count(kernels=len(names))
     return names
 

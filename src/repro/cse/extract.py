@@ -122,34 +122,6 @@ def _mask(sparse: tuple[tuple[int, int], ...]) -> int:
     return mask
 
 
-class _Ticker:
-    """Amortized deadline ticks: one budget check per ``CHECK_STRIDE`` steps."""
-
-    __slots__ = ("deadline", "stride", "pending", "site")
-
-    def __init__(self):
-        from repro.core.budget import CHECK_STRIDE
-
-        self.deadline = _current_deadline()
-        self.stride = CHECK_STRIDE if self.deadline.enabled else None
-        self.pending = 0
-        self.site = ""
-
-    def __call__(self, steps: int, site: str) -> None:
-        if self.stride is None:
-            return
-        self.pending += steps
-        self.site = site
-        if self.pending >= self.stride:
-            self.flush()
-
-    def flush(self) -> None:
-        """Consume the steps not yet ticked."""
-        if self.pending:
-            self.deadline.tick(self.pending, site=self.site)
-            self.pending = 0
-
-
 class _Unique:
     """One distinct kernel term set: the rows holding it and its pairs."""
 
@@ -234,7 +206,7 @@ class _Extractor:
         #: Work counters: kernel rows enumerated, candidate scores computed.
         self.rows_rescanned = 0
         self.candidates_rescored = 0
-        self._tick = _Ticker()
+        self._meter = _current_deadline().meter()
 
         # Interned monomials (dense exponent tuples of the current width;
         # re-keyed when a slot claim re-pads) and signed cubes over them.
@@ -400,7 +372,7 @@ class _Extractor:
                         self._match(candidate, row, -1)
         self._rows_of[index] = rows
         self.rows_rescanned += len(rows)
-        self._tick(len(rows) + work, "cse/rows")
+        self._meter.step(len(rows) + work, "cse/rows")
 
     def _match(self, candidate: _Candidate, row: int, sign: int) -> None:
         candidate.matches[row] = sign
@@ -447,7 +419,7 @@ class _Extractor:
                 continue
             for row in set.intersection(*sets):
                 self._match(candidate, row, sign)
-        self._tick(len(candidate.matches) + 1, "cse/rescore")
+        self._meter.step(len(candidate.matches) + 1, "cse/rescore")
         return candidate
 
     def _kernel_gain(self, candidate: _Candidate) -> int:
@@ -483,7 +455,7 @@ class _Extractor:
             gain += saved
         candidate.gain = gain
         self.candidates_rescored += 1
-        self._tick(len(candidate.matches) + 1, "cse/rescore")
+        self._meter.step(len(candidate.matches) + 1, "cse/rescore")
         return gain
 
     def _add_unique(self, term_set: frozenset[int]) -> None:
@@ -513,7 +485,7 @@ class _Extractor:
                 posting[cid] = {term_set}
             else:
                 entry.add(term_set)
-        self._tick(work + 1, "cse/kernel_pairs")
+        self._meter.step(work + 1, "cse/kernel_pairs")
         for other in counts.keys() | flips.keys():
             same, flipped = counts.get(other, 0), flips.get(other, 0)
             added = []
@@ -645,7 +617,7 @@ class _Extractor:
                     cube.occurrences += delta
                     cube.saved += delta * saved
         self.candidates_rescored += len(scored)
-        self._tick(len(deltas) * len(scored), "cse/rescore")
+        self._meter.step(len(deltas) * len(scored), "cse/rescore")
 
     def _pair(self, item: tuple[int, int]) -> None:
         """Pair a new item with every other one of its coefficient group.
@@ -671,7 +643,8 @@ class _Extractor:
                 pairs[(coeff, other)][mid] = key
                 self._cube_ref(key, 1)
         group[mid] = None
-        self._tick(len(group), "cse/cube_pairs" if coeff == 1 else "cse/coeff_cube_pairs")
+        site = "cse/cube_pairs" if coeff == 1 else "cse/coeff_cube_pairs"
+        self._meter.step(len(group), site)
 
     def _unpair(self, item: tuple[int, int]) -> None:
         coeff, mid = item
@@ -765,7 +738,7 @@ class _Extractor:
                         cube.occurrences += count
                         cube.saved += count * saved
                 self.candidates_rescored += 1
-                self._tick(len(self._term_counts), "cse/rescore")
+                self._meter.step(len(self._term_counts), "cse/rescore")
             if cube.occurrences < 2:
                 continue
             gain = cube.saved - max(cube.literals - 1, 0) * MUL_WEIGHT - (
@@ -1036,7 +1009,7 @@ class _Extractor:
                     round=self.rounds,
                 )
             self.rounds += 1
-        self._tick.flush()
+        self._meter.flush()
         self._compact()
         return CseResult(self.polys, dict(self.blocks), self.rounds)
 

@@ -153,23 +153,18 @@ class KernelCubeMatrix:
         Seeds are taken in order of first appearance, so among equally
         valued rectangles the one grown from the earliest seed ranks first.
         """
-        from repro.core.budget import CHECK_STRIDE, current_deadline
+        from repro.core.budget import current_deadline
 
-        deadline = current_deadline()
+        meter = current_deadline().meter("cse/rectangles")
         grown = self._grown
-        pending = 0
         for seed in self._stale:
             if seed not in self.postings:
                 continue
             rectangle = grow_rectangle(self, seed)
             if rectangle is not None and rectangle.value > 0:
                 grown[seed] = rectangle
-            pending += 1
-            if pending >= CHECK_STRIDE:
-                deadline.tick(pending, site="cse/rectangles")
-                pending = 0
-        if pending:
-            deadline.tick(pending, site="cse/rectangles")
+            meter.step()
+        meter.flush()
         self._stale.clear()
         seeded = [(self.first_appearance(seed), r) for seed, r in grown.items()]
         seeded.sort(key=lambda item: item[0])

@@ -289,17 +289,7 @@ def _run_job_payload(
     — and fault injection is disabled (see :data:`_DEGRADED_ATTEMPT`)
     because this path runs in the engine's own process and must complete.
     """
-    payload: dict[str, Any] = {
-        "kind": "job-result",
-        "method": method,
-        "decomposition": None,
-        "op_count": None,
-        "initial_op_count": None,
-        "timings": Timings().as_dict(),
-        "worker": None,
-        "degradations": [],
-        "error": None,
-    }
+    payload = _payload_skeleton(method)
     config = RunConfig.from_dict(config_data) if config_data else None
     budget = config.budget if config is not None else None
     if degraded_reason is not None:
@@ -367,6 +357,21 @@ def _run_job_payload(
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _payload_skeleton(method: str, error: str | None = None) -> dict[str, Any]:
+    """The job-result payload of a job that produced nothing (yet)."""
+    return {
+        "kind": "job-result",
+        "method": method,
+        "decomposition": None,
+        "op_count": None,
+        "initial_op_count": None,
+        "timings": Timings().as_dict(),
+        "worker": None,
+        "degradations": [],
+        "error": error,
+    }
+
+
 def _error_payload(method: str, error: str) -> str:
     """A synthetic failure payload for jobs that never returned one.
 
@@ -375,19 +380,7 @@ def _error_payload(method: str, error: str) -> str:
     engine-side.
     """
     return json.dumps(
-        {
-            "kind": "job-result",
-            "method": method,
-            "decomposition": None,
-            "op_count": None,
-            "initial_op_count": None,
-            "timings": Timings().as_dict(),
-            "worker": None,
-            "degradations": [],
-            "error": error,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        _payload_skeleton(method, error), sort_keys=True, separators=(",", ":")
     )
 
 

@@ -105,11 +105,9 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
     if len(univariate_factors) == 1:
         return [poly]
 
-    from repro.core.budget import CHECK_STRIDE, current_deadline
+    from repro.core.budget import current_deadline
 
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("factor/kronecker")
     factors: list[Polynomial] = []
     remaining = list(univariate_factors)
     current = work
@@ -119,11 +117,7 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
             break
         progressed = False
         for subset in combinations(range(len(remaining)), subset_size):
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="factor/kronecker")
-                    pending = 0
+            meter.step()
             candidate_image = Polynomial.constant(1)
             for index in subset:
                 candidate_image = candidate_image * remaining[index]
@@ -143,8 +137,7 @@ def factor_squarefree_kronecker(poly: Polynomial) -> list[Polynomial]:
                 break
         if not progressed:
             subset_size += 1
-    if ticking and pending:
-        deadline.tick(pending, site="factor/kronecker")
+    meter.flush()
     if not current.is_constant:
         factors.append(current)
     elif current.constant_term not in (1, -1) or not factors:

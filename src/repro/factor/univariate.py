@@ -153,11 +153,9 @@ def _recombine(
     The search is exponential in the number of modular factors, so it
     ticks the ambient budget (one step per subset, amortized).
     """
-    from repro.core.budget import CHECK_STRIDE, current_deadline
+    from repro.core.budget import current_deadline
 
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("factor/recombine")
     work = list(coeffs)
     remaining = list(modular)
     found: list[list[int]] = []
@@ -165,11 +163,7 @@ def _recombine(
     while 2 * subset_size <= len(remaining):
         progressed = False
         for subset in combinations(range(len(remaining)), subset_size):
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="factor/recombine")
-                    pending = 0
+            meter.step()
             lead = work[-1]
             candidate = [lead]
             for index in subset:
@@ -188,8 +182,7 @@ def _recombine(
                 break
         if not progressed:
             subset_size += 1
-    if ticking and pending:
-        deadline.tick(pending, site="factor/recombine")
+    meter.flush()
     if len(work) > 1 or (len(work) == 1 and abs(work[0]) != 1):
         found.append(work)
     return found

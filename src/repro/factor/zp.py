@@ -10,11 +10,12 @@ working prime.
 
 Factoring a Kronecker image can mean divisions of degree in the
 thousands, so the division loop, modular exponentiation and both
-factorization stages tick the ambient budget deadline (amortized: one
-clock check every ``CHECK_STRIDE`` steps), and a job budget can stop
-a factorization midway.  The budget module is imported at call time:
-``repro.core`` depends on this package, so a module-level import would
-make the import graph cyclic.
+factorization stages step a meter of the ambient budget deadline
+(:meth:`repro.core.budget.Deadline.meter`, which batches the steps
+into amortized ticks), and a job budget can stop a factorization
+midway.  The budget module is imported at call time: ``repro.core``
+depends on this package, so a module-level import would make the
+import graph cyclic.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ from typing import Iterable, List
 
 ZpPoly = List[int]
 
-#: Quotient length from which :func:`zp_divmod` ticks the budget.
+#: Quotient length from which :func:`zp_divmod` meters the budget.
 _LONG_DIVISION = 64
+
+
+def _meter(site: str):
+    """A meter of the ambient deadline (imported late: see the module doc)."""
+    from repro.core.budget import current_deadline
+
+    return current_deadline().meter(site)
 
 
 def zp_trim(coeffs: Iterable[int], p: int) -> ZpPoly:
@@ -100,28 +108,19 @@ def zp_divmod(f: ZpPoly, g: ZpPoly, p: int) -> tuple[ZpPoly, ZpPoly]:
     remainder = list(f)
     quotient = [0] * (len(f) - len(g) + 1)
     # Only a long division looks up the deadline.  Most calls are the
-    # short reductions of zp_pow_mod, which ticks once per step itself;
+    # short reductions of zp_pow_mod, which meters once per step itself;
     # for those the lookup would cost more than the steps it counts.
-    ticking = False
-    if len(quotient) >= _LONG_DIVISION:
-        from repro.core.budget import CHECK_STRIDE, current_deadline
-
-        deadline = current_deadline()
-        ticking = deadline.enabled
-    pending = 0
+    meter = _meter("factor/zp") if len(quotient) >= _LONG_DIVISION else None
     for shift in range(len(f) - len(g), -1, -1):
-        if ticking:
-            pending += 1
-            if pending >= CHECK_STRIDE:
-                deadline.tick(pending, site="factor/zp")
-                pending = 0
+        if meter is not None:
+            meter.step()
         coeff = (remainder[shift + len(g) - 1] * inv_lead) % p
         if coeff:
             quotient[shift] = coeff
             for i, b in enumerate(g):
                 remainder[shift + i] = (remainder[shift + i] - coeff * b) % p
-    if ticking and pending:
-        deadline.tick(pending, site="factor/zp")
+    if meter is not None:
+        meter.flush()
     while remainder and remainder[-1] == 0:
         remainder.pop()
     while quotient and quotient[-1] == 0:
@@ -156,25 +155,16 @@ def zp_pow_mod(base: ZpPoly, exponent: int, modulus: ZpPoly, p: int) -> ZpPoly:
     """``base^exponent mod modulus`` by square-and-multiply."""
     result: ZpPoly = [1]
     acc = zp_mod(base, modulus, p)
-    from repro.core.budget import CHECK_STRIDE, current_deadline
-
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = _meter("factor/zp")
     e = exponent
     while e:
-        if ticking:
-            pending += 1
-            if pending >= CHECK_STRIDE:
-                deadline.tick(pending, site="factor/zp")
-                pending = 0
+        meter.step()
         if e & 1:
             result = zp_mod(zp_mul(result, acc, p), modulus, p)
         e >>= 1
         if e:
             acc = zp_mod(zp_mul(acc, acc, p), modulus, p)
-    if ticking and pending:
-        deadline.tick(pending, site="factor/zp")
+    meter.flush()
     return result
 
 
@@ -210,18 +200,10 @@ def distinct_degree_factorization(
     result: list[tuple[ZpPoly, int]] = []
     work = list(f)
     x_power = [0, 1]  # x
-    from repro.core.budget import CHECK_STRIDE, current_deadline
-
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = _meter("factor/ddf")
     degree = 0
     while zp_degree(work) > 0:
-        if ticking:
-            pending += 1
-            if pending >= CHECK_STRIDE:
-                deadline.tick(pending, site="factor/ddf")
-                pending = 0
+        meter.step()
         degree += 1
         if 2 * degree > zp_degree(work):
             # What remains is irreducible.
@@ -236,8 +218,7 @@ def distinct_degree_factorization(
             if remainder:
                 raise RuntimeError("DDF division not exact (internal error)")
             x_power = zp_mod(x_power, work, p)
-    if ticking and pending:
-        deadline.tick(pending, site="factor/ddf")
+    meter.flush()
     return result
 
 
@@ -254,17 +235,9 @@ def equal_degree_factorization(
     if n % degree:
         raise ValueError(f"degree {n} is not a multiple of {degree}")
     exponent = (p ** degree - 1) // 2
-    from repro.core.budget import CHECK_STRIDE, current_deadline
-
-    deadline = current_deadline()
-    ticking = deadline.enabled
-    pending = 0
+    meter = _meter("factor/edf")
     while True:
-        if ticking:
-            pending += 1
-            if pending >= CHECK_STRIDE:
-                deadline.tick(pending, site="factor/edf")
-                pending = 0
+        meter.step()
         candidate = [rng.randrange(p) for _ in range(n)]
         candidate = zp_trim(candidate, p)
         if zp_degree(candidate) < 1:
@@ -277,8 +250,7 @@ def equal_degree_factorization(
             split = zp_gcd(f, zp_sub(power, [1], p), p)
             if not (0 < zp_degree(split) < n):
                 continue
-        if ticking and pending:
-            deadline.tick(pending, site="factor/edf")
+        meter.flush()
         quotient, remainder = zp_divmod(f, split, p)
         if remainder:
             raise RuntimeError("EDF division not exact (internal error)")

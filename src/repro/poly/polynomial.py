@@ -55,6 +55,11 @@ def _var_union(a: tuple, b: tuple) -> tuple:
     return union
 
 
+def clear_var_union_cache() -> None:
+    """Drop the memoized variable-tuple unions (cold runs start here)."""
+    _VAR_UNIONS.clear()
+
+
 class Polynomial:
     """An immutable sparse multivariate polynomial over the integers."""
 

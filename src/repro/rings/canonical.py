@@ -124,14 +124,9 @@ def to_canonical(poly: Polynomial, signature: BitVectorSignature) -> CanonicalFo
     """
     # Lazy import: rings is a dependency of core, so the budget module is
     # reached at call time to keep the import graph acyclic.
-    from repro.core.budget import CHECK_STRIDE, current_deadline
+    from repro.core.budget import current_deadline
 
-    deadline = current_deadline()
-    # Amortized cooperative checks: with no budget installed the per-combo
-    # cost is one predictable branch; with one, ticks land in stride-sized
-    # batches (equivalent step accounting — see Deadline.tick).
-    ticking = deadline.enabled
-    pending = 0
+    meter = current_deadline().meter("canonical/expand")
     variables = signature.variables
     missing = set(poly.used_vars()) - set(variables)
     if missing:
@@ -153,19 +148,14 @@ def to_canonical(poly: Polynomial, signature: BitVectorSignature) -> CanonicalFo
             entries = [(k, stirling_second(e, k)) for k in range(e + 1)]
             per_var.append([(k, s) for k, s in entries if s])
         for combo in product(*per_var):
-            if ticking:
-                pending += 1
-                if pending >= CHECK_STRIDE:
-                    deadline.tick(pending, site="canonical/expand")
-                    pending = 0
+            meter.step()
             k_tuple = tuple(k for k, _ in combo)
             weight = coeff
             for _, s in combo:
                 weight *= s
             accumulator[k_tuple] = accumulator.get(k_tuple, 0) + weight
 
-    if ticking and pending:
-        deadline.tick(pending, site="canonical/expand")
+    meter.flush()
     reduced: dict[tuple[int, ...], int] = {}
     for k_tuple, coeff in accumulator.items():
         if any(k >= bound for k, bound in zip(k_tuple, bounds)):

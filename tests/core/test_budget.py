@@ -9,6 +9,7 @@ from repro.core import synthesize
 from repro.core.budget import (
     CHECK_STRIDE,
     NULL_DEADLINE,
+    NULL_METER,
     Budget,
     BudgetExceeded,
     Deadline,
@@ -17,6 +18,7 @@ from repro.core.budget import (
     deadline_for,
     use_deadline,
 )
+from repro.core.synth import clear_synthesis_caches
 from repro.obs import RingBufferSink, Tracer, use_tracer
 from repro.suite import get_system, random_system
 from repro.verify import check_systems
@@ -94,6 +96,128 @@ class TestDeadline:
         remaining = deadline.remaining()
         assert remaining is not None and 0 < remaining <= 100.0
         assert Deadline(Budget(max_steps=5)).remaining() is None
+
+
+class TestMeter:
+    def test_one_step_calls_tick_once_per_stride(self):
+        meter = Deadline(Budget(max_steps=100)).meter("loop")
+        with pytest.raises(BudgetExceeded) as excinfo:
+            for step in range(1, 1000):
+                meter.step()
+        assert step == 2 * CHECK_STRIDE == 128
+        assert excinfo.value.limit == "steps"
+        assert excinfo.value.site == "loop"
+
+    def test_flush_ticks_the_remainder(self):
+        deadline = Deadline(Budget(max_steps=100))
+        meter = deadline.meter("loop")
+        meter.step(5)
+        assert deadline.steps == 0
+        meter.flush()
+        assert deadline.steps == 5
+        meter.flush()
+        assert deadline.steps == 5
+
+    def test_renamed_site_reaches_the_error(self):
+        meter = Deadline(Budget(max_steps=10)).meter("first")
+        meter.step(CHECK_STRIDE - 1)
+        with pytest.raises(BudgetExceeded) as excinfo:
+            meter.step(1, site="second")
+        assert excinfo.value.site == "second"
+
+    def test_null_meter_does_nothing(self):
+        assert NULL_DEADLINE.meter("loop") is NULL_METER
+        NULL_METER.step(10 * CHECK_STRIDE, site="loop")
+        NULL_METER.flush()
+        assert NULL_DEADLINE.steps == 0
+
+
+#: Per-site ``(steps, tick calls)`` of cold budgeted runs.  Every
+#: amortized loop batches its steps into ticks of ``CHECK_STRIDE``, so a
+#: change to any loop's batching (or to what it counts) moves a row here,
+#: and ``max_steps`` budgets would trip at a different step.
+_PINNED_STEPS = {
+    "Table 14.1": {
+        "algdiv/divide": (100, 10),
+        "algdiv/refine": (80, 2),
+        "canonical/expand": (13, 3),
+        "cce/candidate_gcds": (24, 24),
+        "cce/group": (25, 8),
+        "cse/coeff_cube_pairs": (110, 4),
+        "cse/cube_pairs": (283, 8),
+        "cse/rectangles": (136, 22),
+        "cse/rescore": (616, 9),
+        "cse/round": (23, 23),
+        "cube_extract/harvest": (44, 1),
+        "factor/ddf": (6, 4),
+        "factor/edf": (6, 2),
+        "factor/kronecker": (8, 2),
+        "factor/recombine": (2, 2),
+        "factor/zp": (122, 10),
+        "poly/gcd": (36, 36),
+    },
+    "Table 14.2": {
+        "algdiv/divide": (806, 26),
+        "algdiv/refine": (651, 11),
+        "canonical/expand": (87, 6),
+        "cce/candidate_gcds": (199, 102),
+        "cce/group": (191, 38),
+        "cse/coeff_cube_pairs": (150, 3),
+        "cse/cube_pairs": (943, 16),
+        "cse/kernel_pairs": (171, 3),
+        "cse/rectangles": (559, 26),
+        "cse/rescore": (2914, 30),
+        "cse/round": (28, 28),
+        "cse/rows": (128, 2),
+        "cube_extract/harvest": (164, 3),
+        "factor/ddf": (23, 18),
+        "factor/edf": (22, 17),
+        "factor/kronecker": (5, 1),
+        "factor/recombine": (26, 14),
+        "factor/zp": (620, 40),
+        "poly/gcd": (42, 42),
+    },
+    "Quad": {
+        "algdiv/divide": (260, 13),
+        "algdiv/refine": (200, 4),
+        "canonical/expand": (16, 2),
+        "cce/candidate_gcds": (102, 53),
+        "cce/group": (81, 17),
+        "cse/coeff_cube_pairs": (169, 5),
+        "cse/cube_pairs": (72, 2),
+        "cse/kernel_pairs": (99, 2),
+        "cse/rectangles": (172, 13),
+        "cse/round": (13, 13),
+        "cse/rows": (130, 2),
+        "cube_extract/harvest": (82, 2),
+        "factor/ddf": (23, 14),
+        "factor/edf": (20, 9),
+        "factor/kronecker": (17, 4),
+        "factor/recombine": (16, 7),
+        "factor/zp": (494, 35),
+        "poly/gcd": (10, 10),
+    },
+}
+
+
+class TestStepAccounting:
+    @pytest.mark.parametrize("name", sorted(_PINNED_STEPS))
+    def test_per_site_steps_and_ticks(self, name, monkeypatch):
+        totals = {}
+        tick = Deadline.tick
+
+        def recording(self, n=1, site=""):
+            steps, ticks = totals.get(site, (0, 0))
+            totals[site] = (steps + n, ticks + 1)
+            tick(self, n, site=site)
+
+        monkeypatch.setattr(Deadline, "tick", recording)
+        clear_synthesis_caches()
+        system = get_system(name)
+        synthesize(
+            list(system.polys), system.signature, budget=Budget(max_steps=10**15)
+        )
+        assert totals == _PINNED_STEPS[name]
 
 
 class TestAmbientDeadline:

@@ -22,6 +22,7 @@ from repro.cse import kernels
 from repro.factor import factorize
 from repro.fuzz import SHAPES, generate_case, generate_cases
 from repro.obs import NULL_TRACER, Tracer, allocation_counts, current_tracer, use_tracer
+from repro.poly import polynomial
 
 
 def _run(system):
@@ -70,6 +71,14 @@ class TestCachedVsCold:
         warm_b = _fingerprint(_run(b))
         assert cold_a == warm_a
         assert cold_b == warm_b
+
+    def test_clear_drops_the_variable_union_memo(self):
+        # A cold run starts with no memo warm, the polynomial layer's too.
+        case = generate_case(seed=3, index=0, shapes=["planted-kernel"])
+        _run(case.system)
+        assert polynomial._VAR_UNIONS
+        clear_synthesis_caches()
+        assert not polynomial._VAR_UNIONS
 
 
 def _ordered_fingerprint(result):
