@@ -101,10 +101,10 @@ def common_coefficient_extraction(
         exps: coeff for exps, coeff in poly.terms.items() if exps not in consumed
     }
     new_vars = poly.vars
-    rebuilt = Polynomial(new_vars, leftover)
+    rebuilt = Polynomial._raw(new_vars, leftover)
     names: list[str] = []
     for g, block_terms in groups:
-        block_poly = Polynomial(poly.vars, block_terms)
+        block_poly = Polynomial._raw(poly.vars, block_terms)
         name, sign = registry.register(block_poly)
         names.append(name)
         if name not in new_vars:

@@ -41,7 +41,7 @@ other transformation in the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.expr.cost import ADD_WEIGHT, CMUL_WEIGHT, MUL_WEIGHT
 from repro.poly import Polynomial
@@ -120,6 +120,22 @@ def _mask(sparse: tuple[tuple[int, int], ...]) -> int:
     for i, _ in sparse:
         mask |= 1 << i
     return mask
+
+
+def _column_weigher(
+    cube_coeff: list[int], cube_mono: list[int], mono_literals: list[int]
+) -> Callable[[int], int]:
+    """A cube column's weight, read from the extractor's growing tables.
+
+    It closes over the tables, not the extractor: a bound method would
+    make the matrix and the extractor a reference cycle, and every run's
+    candidate pool would then wait for the cycle collector.
+    """
+
+    def column_weight(cid: int) -> int:
+        return _weight(cube_coeff[cid], mono_literals[cube_mono[cid]])
+
+    return column_weight
 
 
 class _Unique:
@@ -228,7 +244,9 @@ class _Extractor:
         self._cube_coeff: list[int] = []
 
         # Kernel side.
-        self._kcm = KernelCubeMatrix(self._column_weight)
+        self._kcm = KernelCubeMatrix(
+            _column_weigher(self._cube_coeff, self._cube_mono, self._mono_literals)
+        )
         self._rows_of: list[list[int]] = [[] for _ in unified]
         self._cokernel: dict[int, int] = {}
         self._uniques: dict[frozenset[int], _Unique] = {}
@@ -291,9 +309,6 @@ class _Extractor:
             self._cube_mono += (mid, mid)
             self._cube_coeff += (coeff, -coeff)
         return cid
-
-    def _column_weight(self, cid: int) -> int:
-        return _weight(self._cube_coeff[cid], self._mono_literals[self._cube_mono[cid]])
 
     def _dense_items(self, cids: Iterable[int]) -> list[tuple[Exponents, int]]:
         monos, cube_mono, cube_coeff = self._monos, self._cube_mono, self._cube_coeff

@@ -36,7 +36,7 @@ def _divide_by_literal(poly: Polynomial, index: int) -> Polynomial:
         for e, c in poly.terms.items()
         if e[index]
     }
-    return Polynomial(poly.vars, terms)
+    return Polynomial._raw(poly.vars, terms)
 
 
 def _common_cube(poly: Polynomial) -> Exponents:
@@ -46,10 +46,50 @@ def _common_cube(poly: Polynomial) -> Exponents:
 def _divide_by_cube(poly: Polynomial, cube: Exponents) -> Polynomial:
     if mono_is_one(cube):
         return poly
-    return Polynomial(
+    return Polynomial._raw(
         poly.vars,
         {tuple(x - y for x, y in zip(e, cube)): c for e, c in poly.terms.items()},
     )
+
+
+def _first_visit(
+    seen: set[tuple[Exponents, frozenset]], cokernel: Exponents, kernel: Polynomial
+) -> bool:
+    """True the first time a (co-kernel, kernel) pair is reached."""
+    key = (cokernel, frozenset(kernel.terms.items()))
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
+
+
+def _kernels_below(
+    current: Polynomial,
+    cokernel: Exponents,
+    min_index: int,
+    seen: set[tuple[Exponents, frozenset]],
+) -> Iterator[KernelEntry]:
+    """The kernels reached from ``current`` by dividing literals ``>= min_index``."""
+    nvars = len(current.vars)
+    for j in range(min_index, nvars):
+        count = sum(1 for e in current.terms if e[j])
+        if count < 2:
+            continue
+        divided = _divide_by_literal(current, j)
+        cube = _common_cube(divided)
+        if any(cube[k] for k in range(j)):
+            # A smaller literal divides the quotient: this kernel will
+            # be found (or was) through that literal instead.
+            continue
+        kernel = _divide_by_cube(divided, cube)
+        if len(kernel) < 2:
+            continue
+        step = mono_mul(
+            cokernel, mono_mul(cube, tuple(1 if k == j else 0 for k in range(nvars)))
+        )
+        if _first_visit(seen, step, kernel):
+            yield KernelEntry(step, kernel)
+        yield from _kernels_below(kernel, step, j, seen)
 
 
 def iter_kernels(poly: Polynomial) -> Iterator[KernelEntry]:
@@ -62,41 +102,12 @@ def iter_kernels(poly: Polynomial) -> Iterator[KernelEntry]:
     """
     if len(poly) < 2:
         return
-    nvars = len(poly.vars)
-
     seen: set[tuple[Exponents, frozenset]] = set()
-
-    def emit(cokernel: Exponents, kernel: Polynomial) -> Iterator[KernelEntry]:
-        key = (cokernel, frozenset(kernel.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            yield KernelEntry(cokernel, kernel)
-
-    def recurse(current: Polynomial, cokernel: Exponents, min_index: int) -> Iterator[KernelEntry]:
-        for j in range(min_index, nvars):
-            count = sum(1 for e in current.terms if e[j])
-            if count < 2:
-                continue
-            divided = _divide_by_literal(current, j)
-            cube = _common_cube(divided)
-            if any(cube[k] for k in range(j)):
-                # A smaller literal divides the quotient: this kernel will
-                # be found (or was) through that literal instead.
-                continue
-            kernel = _divide_by_cube(divided, cube)
-            if len(kernel) < 2:
-                continue
-            step = mono_mul(
-                cokernel, mono_mul(cube, tuple(1 if k == j else 0 for k in range(nvars)))
-            )
-            yield from emit(step, kernel)
-            yield from recurse(kernel, step, j)
-
     top_cube = _common_cube(poly)
     top = _divide_by_cube(poly, top_cube)
-    if len(top) >= 2:
-        yield from emit(top_cube, top)
-    yield from recurse(top, top_cube, 0)
+    if len(top) >= 2 and _first_visit(seen, top_cube, top):
+        yield KernelEntry(top_cube, top)
+    yield from _kernels_below(top, top_cube, 0, seen)
 
 
 #: Content-keyed memo of kernel enumerations.  Keys are the *trimmed*

@@ -209,6 +209,40 @@ def expr_from_polynomial(poly: Polynomial) -> Expr:
     return make_add(*terms)
 
 
+def _expand(
+    node: Expr, blocks: Mapping[str, Expr], active: tuple[str, ...]
+) -> Polynomial:
+    """``node`` as a polynomial; ``active`` is the chain of blocks being expanded."""
+    if isinstance(node, Const):
+        return Polynomial.constant(node.value)
+    if isinstance(node, Var):
+        return Polynomial.variable(node.name)
+    if isinstance(node, BlockRef):
+        _check_block(node.name, blocks, active)
+        return _expand(blocks[node.name], blocks, active + (node.name,))
+    if isinstance(node, Add):
+        total = Polynomial.zero()
+        for op in node.operands:
+            total = total + _expand(op, blocks, active)
+        return total
+    if isinstance(node, Mul):
+        total = Polynomial.constant(1)
+        for op in node.operands:
+            total = total * _expand(op, blocks, active)
+        return total
+    if isinstance(node, Pow):
+        return _expand(node.base, blocks, active) ** node.exponent
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def _check_block(name: str, blocks: Mapping[str, Expr], active: tuple[str, ...]) -> None:
+    """Refuse to follow a reference that closes a cycle or names no block."""
+    if name in active:
+        raise ValueError(f"cyclic block reference through {name!r}")
+    if name not in blocks:
+        raise KeyError(f"undefined block {name!r}")
+
+
 def expr_to_polynomial(
     expr: Expr, blocks: Mapping[str, Expr] | None = None
 ) -> Polynomial:
@@ -217,34 +251,46 @@ def expr_to_polynomial(
     This is the semantic ground truth used by validation: a decomposition
     is correct iff expansion returns the original polynomial.
     """
-    blocks = blocks or {}
+    return _expand(expr, blocks or {}, ())
 
-    def walk(node: Expr, active: tuple[str, ...]) -> Polynomial:
-        if isinstance(node, Const):
-            return Polynomial.constant(node.value)
-        if isinstance(node, Var):
-            return Polynomial.variable(node.name)
-        if isinstance(node, BlockRef):
-            if node.name in active:
-                raise ValueError(f"cyclic block reference through {node.name!r}")
-            if node.name not in blocks:
-                raise KeyError(f"undefined block {node.name!r}")
-            return walk(blocks[node.name], active + (node.name,))
-        if isinstance(node, Add):
-            total = Polynomial.zero()
-            for op in node.operands:
-                total = total + walk(op, active)
-            return total
-        if isinstance(node, Mul):
-            total = Polynomial.constant(1)
-            for op in node.operands:
-                total = total * walk(op, active)
-            return total
-        if isinstance(node, Pow):
-            return walk(node.base, active) ** node.exponent
-        raise TypeError(f"unknown expression node {node!r}")
 
-    return walk(expr, ())
+def _evaluate(
+    node: Expr,
+    env: Mapping[str, int],
+    blocks: Mapping[str, Expr],
+    modulus: int | None,
+    cache: dict[str, int],
+    active: tuple[str, ...],
+) -> int:
+    if isinstance(node, Const):
+        return node.value if modulus is None else node.value % modulus
+    if isinstance(node, Var):
+        value = env[node.name]
+        return value if modulus is None else value % modulus
+    if isinstance(node, BlockRef):
+        name = node.name
+        if name not in cache:
+            _check_block(name, blocks, active)
+            cache[name] = _evaluate(
+                blocks[name], env, blocks, modulus, cache, active + (name,)
+            )
+        return cache[name]
+    if isinstance(node, Add):
+        total = 0
+        for op in node.operands:
+            total += _evaluate(op, env, blocks, modulus, cache, active)
+        return total if modulus is None else total % modulus
+    if isinstance(node, Mul):
+        total = 1
+        for op in node.operands:
+            total *= _evaluate(op, env, blocks, modulus, cache, active)
+        return total if modulus is None else total % modulus
+    if isinstance(node, Pow):
+        base = _evaluate(node.base, env, blocks, modulus, cache, active)
+        if modulus is None:
+            return base ** node.exponent
+        return pow(base, node.exponent, modulus)
+    raise TypeError(f"unknown expression node {node!r}")
 
 
 def evaluate_expr(
@@ -253,54 +299,26 @@ def evaluate_expr(
     blocks: Mapping[str, Expr] | None = None,
     modulus: int | None = None,
 ) -> int:
-    """Evaluate an expression at integer inputs (optionally mod ``modulus``)."""
-    blocks = blocks or {}
-    cache: dict[str, int] = {}
+    """Evaluate an expression at integer inputs (optionally mod ``modulus``).
 
-    def walk(node: Expr) -> int:
-        if isinstance(node, Const):
-            return node.value if modulus is None else node.value % modulus
-        if isinstance(node, Var):
-            value = env[node.name]
-            return value if modulus is None else value % modulus
-        if isinstance(node, BlockRef):
-            if node.name not in cache:
-                if node.name not in blocks:
-                    raise KeyError(f"undefined block {node.name!r}")
-                cache[node.name] = walk(blocks[node.name])
-            return cache[node.name]
-        if isinstance(node, Add):
-            total = 0
-            for op in node.operands:
-                total += walk(op)
-            return total if modulus is None else total % modulus
-        if isinstance(node, Mul):
-            total = 1
-            for op in node.operands:
-                total *= walk(op)
-            return total if modulus is None else total % modulus
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            if modulus is None:
-                return base ** node.exponent
-            return pow(base, node.exponent, modulus)
-        raise TypeError(f"unknown expression node {node!r}")
+    A cyclic block reference raises ``ValueError``, as in
+    :func:`expr_to_polynomial`.
+    """
+    return _evaluate(expr, env, blocks or {}, modulus, {}, ())
 
-    return walk(expr)
+
+def _collect_block_refs(node: Expr, refs: set[str]) -> None:
+    if isinstance(node, BlockRef):
+        refs.add(node.name)
+    elif isinstance(node, Add) or isinstance(node, Mul):
+        for op in node.operands:
+            _collect_block_refs(op, refs)
+    elif isinstance(node, Pow):
+        _collect_block_refs(node.base, refs)
 
 
 def expr_block_refs(expr: Expr) -> set[str]:
     """Names of all blocks referenced (non-transitively) by an expression."""
     refs: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, BlockRef):
-            refs.add(node.name)
-        elif isinstance(node, Add) or isinstance(node, Mul):
-            for op in node.operands:
-                walk(op)
-        elif isinstance(node, Pow):
-            walk(node.base)
-
-    walk(expr)
+    _collect_block_refs(expr, refs)
     return refs

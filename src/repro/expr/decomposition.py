@@ -17,7 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.poly import Polynomial
 
-from .ast import Expr, expr_block_refs, expr_to_polynomial
+from .ast import (
+    Add, BlockRef, Const, Expr, Mul, Pow, Var, expr_block_refs, expr_to_polynomial,
+)
 from .cost import OpCount, ZERO_COUNT, expr_op_count
 
 
@@ -113,8 +115,6 @@ class Decomposition:
         Returns the number of blocks inlined.  Cost and semantics are
         unchanged (tests enforce this).
         """
-        from .ast import Add, BlockRef, Const, Mul, Pow, Var
-
         aliases = {
             name: expr
             for name, expr in self.blocks.items()
@@ -122,21 +122,9 @@ class Decomposition:
         }
         if not aliases:
             return 0
-
-        def rewrite(node: Expr) -> Expr:
-            if isinstance(node, BlockRef) and node.name in aliases:
-                return rewrite(aliases[node.name])
-            if isinstance(node, Add):
-                return Add(tuple(rewrite(op) for op in node.operands))
-            if isinstance(node, Mul):
-                return Mul(tuple(rewrite(op) for op in node.operands))
-            if isinstance(node, Pow):
-                return Pow(rewrite(node.base), node.exponent)
-            return node
-
-        self.outputs = [rewrite(expr) for expr in self.outputs]
+        self.outputs = [_inline_aliases(expr, aliases) for expr in self.outputs]
         self.blocks = {
-            name: rewrite(expr)
+            name: _inline_aliases(expr, aliases)
             for name, expr in self.blocks.items()
             if name not in aliases
         }
@@ -152,3 +140,16 @@ class Decomposition:
         ops = self.op_count()
         lines.append(f"cost: {ops}")
         return "\n".join(lines)
+
+
+def _inline_aliases(node: Expr, aliases: Mapping[str, Expr]) -> Expr:
+    """``node`` with every reference to an alias block replaced by its leaf."""
+    if isinstance(node, BlockRef) and node.name in aliases:
+        return _inline_aliases(aliases[node.name], aliases)
+    if isinstance(node, Add):
+        return Add(tuple(_inline_aliases(op, aliases) for op in node.operands))
+    if isinstance(node, Mul):
+        return Mul(tuple(_inline_aliases(op, aliases) for op in node.operands))
+    if isinstance(node, Pow):
+        return Pow(_inline_aliases(node.base, aliases), node.exponent)
+    return node

@@ -82,11 +82,11 @@ def horner_greedy(poly: Polynomial) -> Expr:
     if not with_var or len(with_var) == len(poly) == 1:
         return expr_from_polynomial(poly)
     shift = min(e[index] for e in with_var)
-    quotient = Polynomial(
+    quotient = Polynomial._raw(
         poly.vars,
         {e[:index] + (e[index] - shift,) + e[index + 1:]: c for e, c in with_var.items()},
     )
-    rest = Polynomial(poly.vars, without_var)
+    rest = Polynomial._raw(poly.vars, without_var)
     quotient_expr = (
         horner_greedy(quotient) if len(quotient) > 1 else expr_from_polynomial(quotient)
     )

@@ -37,33 +37,33 @@ def _roots(spans: "Tracer | TraceSnapshot | list[Span]") -> list[Span]:
 # JSONL
 # ----------------------------------------------------------------------
 
+def _span_lines(span: Span, parent: str | None, path: str) -> Iterator[str]:
+    record: dict[str, Any] = {
+        "name": span.name,
+        "path": path,
+        "parent": parent,
+        "start": span.start,
+        "end": span.end,
+        "duration": span.duration,
+        "tid": span.tid,
+    }
+    if span.attrs:
+        record["attrs"] = span.attrs
+    if span.counters:
+        record["counters"] = span.counters
+    yield json.dumps(record, sort_keys=True)
+    for child in span.children:
+        yield from _span_lines(child, span.name, f"{path}/{child.name}")
+
+
 def spans_to_jsonl(spans: "Tracer | TraceSnapshot | list[Span]") -> Iterator[str]:
     """One flat JSON line per span, depth-first, with the parent's name.
 
     Flat lines (rather than one nested document) keep the log append-
     friendly and usable with line tools: ``grep cce trace.jsonl | wc -l``.
     """
-
-    def emit(span: Span, parent: str | None, path: str) -> Iterator[str]:
-        record: dict[str, Any] = {
-            "name": span.name,
-            "path": path,
-            "parent": parent,
-            "start": span.start,
-            "end": span.end,
-            "duration": span.duration,
-            "tid": span.tid,
-        }
-        if span.attrs:
-            record["attrs"] = span.attrs
-        if span.counters:
-            record["counters"] = span.counters
-        yield json.dumps(record, sort_keys=True)
-        for child in span.children:
-            yield from emit(child, span.name, f"{path}/{child.name}")
-
     for root in _roots(spans):
-        yield from emit(root, None, root.name)
+        yield from _span_lines(root, None, root.name)
 
 
 def write_jsonl(path: str, spans: "Tracer | TraceSnapshot | list[Span]") -> int:
@@ -81,6 +81,26 @@ def write_jsonl(path: str, spans: "Tracer | TraceSnapshot | list[Span]") -> int:
 # Chrome trace-event format
 # ----------------------------------------------------------------------
 
+def _trace_events(span: Span, pid: int, events: list[dict[str, Any]]) -> None:
+    args: dict[str, Any] = {}
+    args.update(span.attrs)
+    args.update(span.counters)
+    events.append(
+        {
+            "name": span.name,
+            "cat": span.name.split("/", 1)[0],
+            "ph": "X",
+            "ts": round(span.start * 1e6, 3),
+            "dur": round(max(span.duration, 0.0) * 1e6, 3),
+            "pid": pid,
+            "tid": span.tid,
+            "args": args,
+        }
+    )
+    for child in span.children:
+        _trace_events(child, pid, events)
+
+
 def chrome_trace(
     spans: "Tracer | TraceSnapshot | list[Span]", pid: int = 0
 ) -> dict[str, Any]:
@@ -92,28 +112,8 @@ def chrome_trace(
     can filter e.g. all ``cce/*`` sub-steps at once.
     """
     events: list[dict[str, Any]] = []
-
-    def emit(span: Span) -> None:
-        args: dict[str, Any] = {}
-        args.update(span.attrs)
-        args.update(span.counters)
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.name.split("/", 1)[0],
-                "ph": "X",
-                "ts": round(span.start * 1e6, 3),
-                "dur": round(max(span.duration, 0.0) * 1e6, 3),
-                "pid": pid,
-                "tid": span.tid,
-                "args": args,
-            }
-        )
-        for child in span.children:
-            emit(child)
-
     for root in _roots(spans):
-        emit(root)
+        _trace_events(root, pid, events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

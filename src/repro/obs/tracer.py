@@ -628,6 +628,20 @@ def env_trace_path() -> str | None:
     return env_trace_settings()[1]
 
 
+def _render_span(span: Span, indent: int, max_children: int, lines: list[str]) -> None:
+    extra = "".join(f" {k}={v}" for k, v in span.counters.items())
+    lines.append(
+        f"{'  ' * indent}{span.name}: {span.duration * 1000.0:.2f} ms{extra}"
+    )
+    for child in span.children[:max_children]:
+        _render_span(child, indent + 1, max_children, lines)
+    if len(span.children) > max_children:
+        lines.append(
+            f"{'  ' * (indent + 1)}... and "
+            f"{len(span.children) - max_children} more"
+        )
+
+
 def format_span_tree(
     spans: "Tracer | TraceSnapshot | list[Span]",
     max_children: int = 12,
@@ -638,20 +652,6 @@ def format_span_tree(
     else:
         roots = spans
     lines: list[str] = []
-
-    def render(span: Span, indent: int) -> None:
-        extra = "".join(f" {k}={v}" for k, v in span.counters.items())
-        lines.append(
-            f"{'  ' * indent}{span.name}: {span.duration * 1000.0:.2f} ms{extra}"
-        )
-        for child in span.children[:max_children]:
-            render(child, indent + 1)
-        if len(span.children) > max_children:
-            lines.append(
-                f"{'  ' * (indent + 1)}... and "
-                f"{len(span.children) - max_children} more"
-            )
-
     for root in roots:
-        render(root, 0)
+        _render_span(root, 0, max_children, lines)
     return "\n".join(lines)

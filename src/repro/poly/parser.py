@@ -171,6 +171,8 @@ def parse_polynomial(
     result = _Parser(tokens).parse()
     if variables is not None:
         vars_tuple = tuple(variables)
+        if len(set(vars_tuple)) != len(vars_tuple):
+            raise PolynomialSyntaxError(f"duplicate variable names in {vars_tuple}")
         extra = set(result.used_vars()) - set(vars_tuple)
         if extra:
             raise PolynomialSyntaxError(

@@ -19,13 +19,13 @@ variables, so ``parse("x+y") * parse("y+z")`` works as expected.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
+from operator import add, itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 
 from .monomial import (
     Exponents,
-    mono_degree,
     mono_gcd_many,
     mono_is_one,
     mono_mul,
@@ -38,25 +38,68 @@ Terms = Dict[Exponents, Coeff]
 Scalar = int
 PolyLike = Union["Polynomial", int]
 
-#: Memoized sorted unions of variable tuples.  Binary operations between
-#: polynomials over different variable sets re-derive the same union
-#: constantly (every division in a candidate loop, for instance); the
-#: distinct (vars, vars) pairs in one flow number in the dozens.
-_VAR_UNIONS: dict[tuple[tuple, tuple], tuple] = {}
+#: How exponent tuples move onto a superset frame: append ``pad``, then
+#: (unless None) pick the new columns with ``getter``.
+Rekey = Tuple[Exponents, "itemgetter | None"]
+
+#: Memoized joins of two variable tuples: their sorted union and how to
+#: re-key each side's exponent tuples onto it (None: already on it).
+#: Binary operations between polynomials over different variable sets
+#: re-derive the same join constantly (every division in a candidate
+#: loop, for instance); the distinct (vars, vars) pairs in one flow
+#: number in the dozens, so a long stream of systems clears it now and
+#: then rather than keep every join it ever made.
+_VAR_UNIONS: dict[tuple[tuple, tuple], tuple[tuple, Rekey | None, Rekey | None]] = {}
 
 
-def _var_union(a: tuple, b: tuple) -> tuple:
+def _rekey(old: tuple, new: tuple) -> Rekey | None:
+    """How to map exponent tuples over ``old`` onto ``new``, a superset frame."""
+    if old == new:
+        return None
+    width = len(old)
+    if new[:width] == old:
+        return mono_one(len(new) - width), None
+    # Two or more columns here (a one-column superset is a prefix case),
+    # so the getter returns a tuple; index ``width`` reads the zero pad.
+    return (0,), itemgetter(*[old.index(v) if v in old else width for v in new])
+
+
+def _frame_join(a: tuple, b: tuple) -> tuple[tuple, Rekey | None, Rekey | None]:
+    """The sorted union of two variable tuples and each side's re-key."""
     key = (a, b)
-    union = _VAR_UNIONS.get(key)
-    if union is None:
-        if len(_VAR_UNIONS) > 4096:
+    join = _VAR_UNIONS.get(key)
+    if join is None:
+        if len(_VAR_UNIONS) > 1024:
             _VAR_UNIONS.clear()
-        union = _VAR_UNIONS[key] = tuple(sorted(set(a) | set(b)))
-    return union
+        union = tuple(sorted(set(a) | set(b)))
+        join = _VAR_UNIONS[key] = (union, _rekey(a, union), _rekey(b, union))
+    return join
+
+
+def _rekeyed_keys(terms: Terms, rekey: Rekey) -> Iterable[Exponents]:
+    """The keys of ``terms`` on the new frame, in order."""
+    pad, getter = rekey
+    keys = map(add, terms, repeat(pad))
+    return keys if getter is None else map(getter, keys)
+
+
+def _rekeyed(terms: Terms, rekey: Rekey | None) -> Terms:
+    """``terms`` with every key re-keyed, in the same order."""
+    if rekey is None:
+        return terms
+    return dict(zip(_rekeyed_keys(terms, rekey), terms.values()))
+
+
+def _frame(variables: Iterable[str]) -> tuple:
+    """A caller's variable tuple, refused when a name repeats."""
+    vars_tuple = tuple(variables)
+    if len(vars_tuple) > 1 and len(set(vars_tuple)) != len(vars_tuple):
+        raise ValueError(f"duplicate variable names in {vars_tuple}")
+    return vars_tuple
 
 
 def clear_var_union_cache() -> None:
-    """Drop the memoized variable-tuple unions (cold runs start here)."""
+    """Drop the memoized variable-tuple joins (cold runs start here)."""
     _VAR_UNIONS.clear()
 
 
@@ -101,12 +144,14 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, variables: tuple, terms: Terms) -> "Polynomial":
-        """Trusted fast-path constructor for internal arithmetic.
+        """Trusted constructor: the one path internal code builds through.
 
         The caller guarantees: ``variables`` is a tuple without duplicates,
         every key is an exponent tuple of the right arity with non-negative
-        entries, and no coefficient is zero.  All public construction goes
-        through ``__init__``, which validates.
+        entries, and every coefficient is a non-zero ``int``.  Arithmetic,
+        the classmethod constructors below and the library's own term
+        builders come here; ``__init__``, :meth:`from_terms` and the parser
+        validate what callers hand in (see docs/PERFORMANCE.md).
         """
         self = object.__new__(cls)
         self._vars = variables
@@ -120,24 +165,26 @@ class Polynomial:
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> "Polynomial":
         """The zero polynomial (optionally over given variables)."""
-        return cls(variables, {})
+        return cls._raw(_frame(variables), {})
 
     @classmethod
     def constant(cls, value: int, variables: Iterable[str] = ()) -> "Polynomial":
         """A constant polynomial."""
-        vars_tuple = tuple(variables)
+        if not isinstance(value, int):
+            raise TypeError(f"coefficient {value!r} is not an integer")
+        vars_tuple = _frame(variables)
         if value == 0:
-            return cls(vars_tuple, {})
-        return cls(vars_tuple, {mono_one(len(vars_tuple)): value})
+            return cls._raw(vars_tuple, {})
+        return cls._raw(vars_tuple, {mono_one(len(vars_tuple)): value})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> "Polynomial":
         """The polynomial ``name`` over ``variables`` (default: just itself)."""
-        vars_tuple = tuple(variables) if variables is not None else (name,)
+        vars_tuple = _frame(variables) if variables is not None else (name,)
         if name not in vars_tuple:
             raise ValueError(f"variable {name!r} not among {vars_tuple}")
         exps = tuple(1 if v == name else 0 for v in vars_tuple)
-        return cls(vars_tuple, {exps: 1})
+        return cls._raw(vars_tuple, {exps: 1})
 
     @classmethod
     def from_terms(
@@ -327,8 +374,12 @@ class Polynomial:
         """
         if a._vars == b._vars:
             return a, b
-        union = _var_union(a._vars, b._vars)
-        return a.with_vars(union), b.with_vars(union)
+        union, rekey_a, rekey_b = _frame_join(a._vars, b._vars)
+        if rekey_a is not None:
+            a = Polynomial._raw(union, _rekeyed(a._terms, rekey_a))
+        if rekey_b is not None:
+            b = Polynomial._raw(union, _rekeyed(b._terms, rekey_b))
+        return a, b
 
     @staticmethod
     def unify_all(polys: Iterable["Polynomial"]) -> list["Polynomial"]:
@@ -350,22 +401,34 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, int):
-            return Polynomial.constant(other, self._vars)
+            terms = {mono_one(len(self._vars)): other} if other else {}
+            return Polynomial._raw(self._vars, terms)
         return None
 
     def __add__(self, other: PolyLike) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = Polynomial.unify(self, rhs)
-        out = dict(a._terms)
-        for exps, coeff in b._terms.items():
+        # Operands over different frames are re-keyed onto the sorted
+        # union as they are read (what unify() would give, without
+        # building the two re-expressed polynomials).
+        if self._vars == rhs._vars:
+            frame, rekey_a, rekey_b = self._vars, None, None
+        else:
+            frame, rekey_a, rekey_b = _frame_join(self._vars, rhs._vars)
+        out = dict(self._terms) if rekey_a is None else _rekeyed(self._terms, rekey_a)
+        terms = rhs._terms
+        items = (
+            terms.items() if rekey_b is None
+            else zip(_rekeyed_keys(terms, rekey_b), terms.values())
+        )
+        for exps, coeff in items:
             total = out.get(exps, 0) + coeff
             if total:
                 out[exps] = total
             else:
                 out.pop(exps, None)
-        return Polynomial._raw(a._vars, out)
+        return Polynomial._raw(frame, out)
 
     def __radd__(self, other: PolyLike) -> "Polynomial":
         return self.__add__(other)
@@ -389,22 +452,26 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = Polynomial.unify(self, rhs)
-        if not a._terms or not b._terms:
-            return Polynomial.zero(a._vars)
+        if self._vars == rhs._vars:
+            frame, a, b = self._vars, self._terms, rhs._terms
+        else:
+            frame, rekey_a, rekey_b = _frame_join(self._vars, rhs._vars)
+            a, b = _rekeyed(self._terms, rekey_a), _rekeyed(rhs._terms, rekey_b)
+        if not a or not b:
+            return Polynomial._raw(frame, {})
         # Iterate over the smaller operand for fewer dict rebuilds.
-        if len(a._terms) < len(b._terms):
+        if len(a) < len(b):
             a, b = b, a
         out: Terms = {}
-        for eb, cb in b._terms.items():
-            for ea, ca in a._terms.items():
+        for eb, cb in b.items():
+            for ea, ca in a.items():
                 key = mono_mul(ea, eb)
                 total = out.get(key, 0) + ca * cb
                 if total:
                     out[key] = total
                 else:
                     del out[key]
-        return Polynomial._raw(a._vars, out)
+        return Polynomial._raw(frame, out)
 
     def __rmul__(self, other: PolyLike) -> "Polynomial":
         return self.__mul__(other)
@@ -414,21 +481,25 @@ class Polynomial:
             return NotImplemented
         if exponent < 0:
             raise ValueError(f"negative polynomial power {exponent}")
-        result = Polynomial.constant(1, self._vars)
+        # The first factor starts the product: 1 * base would copy base
+        # in its own term order.
+        result = None
         base = self
         k = exponent
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
+        if result is None:
+            return Polynomial._raw(self._vars, {mono_one(len(self._vars)): 1})
         return result
 
     def scale(self, factor: int) -> "Polynomial":
         """Multiply every coefficient by an integer (fast path for ``int * p``)."""
         if factor == 0:
-            return Polynomial.zero(self._vars)
+            return Polynomial._raw(self._vars, {})
         if factor == 1:
             return self
         return Polynomial._raw(
@@ -438,7 +509,7 @@ class Polynomial:
     def mul_monomial(self, exps: Exponents, coeff: int = 1) -> "Polynomial":
         """Multiply by a single cube ``coeff * x^exps`` without dict merging."""
         if coeff == 0:
-            return Polynomial.zero(self._vars)
+            return Polynomial._raw(self._vars, {})
         return Polynomial._raw(
             self._vars, {mono_mul(e, exps): c * coeff for e, c in self._terms.items()}
         )
@@ -487,9 +558,8 @@ class Polynomial:
         for exps, coeff in self._terms.items():
             e = exps[idx]
             if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                out[key] = out.get(key, 0) + coeff * e
-        return Polynomial(self._vars, out)
+                out[exps[:idx] + (e - 1,) + exps[idx + 1:]] = coeff * e
+        return Polynomial._raw(self._vars, out)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Evaluate at an integer point; every used variable must be bound."""
@@ -636,11 +706,13 @@ class Polynomial:
         c = self.content()
         if c in (0, 1):
             return self
-        return Polynomial(self._vars, {e: k // c for e, k in self._terms.items()})
+        return Polynomial._raw(self._vars, {e: k // c for e, k in self._terms.items()})
 
     def map_coeffs(self, func: Callable[[int], int]) -> "Polynomial":
         """Apply an integer function to every coefficient (zeros dropped)."""
-        return Polynomial(self._vars, {e: func(c) for e, c in self._terms.items()})
+        return Polynomial._raw(
+            self._vars, {e: v for e, c in self._terms.items() if (v := func(c))}
+        )
 
     def monomial_content(self) -> Exponents:
         """Largest monomial dividing every term (the common cube)."""
@@ -686,7 +758,7 @@ class Polynomial:
         for power, coeff in enumerate(coeffs):
             if coeff:
                 terms[(power,)] = coeff
-        return cls((var,), terms)
+        return cls._raw((var,), terms)
 
     def as_univariate(self, var: str) -> Dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``var`` with polynomial coefficients.
@@ -700,10 +772,9 @@ class Polynomial:
         buckets: Dict[int, Terms] = {}
         for exps, coeff in self._terms.items():
             power = exps[idx]
-            rest = exps[:idx] + exps[idx + 1:]
-            bucket = buckets.setdefault(power, {})
-            bucket[rest] = bucket.get(rest, 0) + coeff
-        return {p: Polynomial(other_vars, t) for p, t in buckets.items()}
+            # Each (power, rest) pair is one term: no two terms meet here.
+            buckets.setdefault(power, {})[exps[:idx] + exps[idx + 1:]] = coeff
+        return {p: Polynomial._raw(other_vars, t) for p, t in buckets.items()}
 
     @classmethod
     def from_univariate(

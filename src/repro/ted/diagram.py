@@ -133,16 +133,16 @@ class TedManager:
         return len(self._unique)
 
 
+def _mark_reachable(node: TedNode, seen: set[int]) -> None:
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for child in node.children:
+        _mark_reachable(child, seen)
+
+
 def ted_node_count(node: TedNode) -> int:
     """Distinct nodes reachable from a TED root (sharing counted once)."""
     seen: set[int] = set()
-
-    def walk(current: TedNode) -> None:
-        if id(current) in seen:
-            return
-        seen.add(id(current))
-        for child in current.children:
-            walk(child)
-
-    walk(node)
+    _mark_reachable(node, seen)
     return len(seen)

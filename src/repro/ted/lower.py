@@ -33,45 +33,50 @@ def _reference_counts(roots: list[TedNode]) -> dict[int, int]:
     return counts
 
 
+def _node_expr(
+    node: TedNode, counts: dict[int, int], names: dict[int, str],
+    decomposition: Decomposition,
+) -> Expr:
+    """Horner form of one node's own structure (children as refs)."""
+    if node.is_leaf:
+        return Const(node.value)
+    assert node.var is not None
+    # c0 + v*(c1 + v*(c2 + ...)) built from the top power down.
+    acc: Expr | None = None
+    for power in range(len(node.children) - 1, -1, -1):
+        child = _resolve(node.children[power], counts, names, decomposition)
+        if acc is None:
+            acc = child
+        else:
+            acc = make_add(make_mul(Var(node.var), acc), child)
+    assert acc is not None
+    return acc
+
+
+def _resolve(
+    node: TedNode, counts: dict[int, int], names: dict[int, str],
+    decomposition: Decomposition,
+) -> Expr:
+    """A node's expression, or a reference to its block when it is shared."""
+    if node.is_leaf:
+        return Const(node.value)
+    key = id(node)
+    if counts.get(key, 0) >= 2:
+        if key not in names:
+            # Blocks are numbered in the order they are first reached.
+            name = names[key] = f"_t{len(names) + 1}"
+            decomposition.blocks[name] = _node_expr(node, counts, names, decomposition)
+        return BlockRef(names[key])
+    return _node_expr(node, counts, names, decomposition)
+
+
 def ted_to_expression(
     manager: TedManager, roots: list[TedNode], method: str = "ted"
 ) -> Decomposition:
     """Lower TED roots to a decomposition with shared-node blocks."""
     counts = _reference_counts(roots)
-    block_names: dict[int, str] = {}
+    names: dict[int, str] = {}
     decomposition = Decomposition(method=method)
-    counter = 0
-
-    def node_expr(node: TedNode) -> Expr:
-        """Horner form of one node's own structure (children as refs)."""
-        if node.is_leaf:
-            return Const(node.value)
-        assert node.var is not None
-        # c0 + v*(c1 + v*(c2 + ...)) built from the top power down.
-        acc: Expr | None = None
-        for power in range(len(node.children) - 1, -1, -1):
-            child = resolve(node.children[power])
-            if acc is None:
-                acc = child
-            else:
-                acc = make_add(make_mul(Var(node.var), acc), child)
-        assert acc is not None
-        return acc
-
-    def resolve(node: TedNode) -> Expr:
-        if node.is_leaf:
-            return Const(node.value)
-        key = id(node)
-        if counts.get(key, 0) >= 2:
-            if key not in block_names:
-                nonlocal counter
-                counter += 1
-                name = f"_t{counter}"
-                block_names[key] = name
-                decomposition.blocks[name] = node_expr(node)
-            return BlockRef(block_names[key])
-        return node_expr(node)
-
     for root in roots:
-        decomposition.outputs.append(resolve(root))
+        decomposition.outputs.append(_resolve(root, counts, names, decomposition))
     return decomposition

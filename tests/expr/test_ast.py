@@ -106,6 +106,22 @@ class TestEvaluate:
         expr = make_mul(BlockRef("d"), BlockRef("d"))
         assert evaluate_expr(expr, {"x": 2, "y": 3}, blocks) == 25
 
+    def test_cyclic_blocks_detected(self):
+        # a = b + x, b = a + x: the same ValueError as expansion, not a
+        # RecursionError.
+        blocks = {
+            "a": make_add(BlockRef("b"), "x"),
+            "b": make_add(BlockRef("a"), "x"),
+        }
+        with pytest.raises(ValueError, match="cyclic block reference through 'a'"):
+            evaluate_expr(BlockRef("a"), {"x": 1}, blocks, modulus=1 << 8)
+        with pytest.raises(ValueError, match="cyclic block reference through 'a'"):
+            expr_to_polynomial(BlockRef("a"), blocks)
+
+    def test_undefined_block(self):
+        with pytest.raises(KeyError):
+            evaluate_expr(BlockRef("nope"), {"x": 1}, {})
+
     @given(polynomials())
     def test_matches_polynomial_evaluation(self, poly):
         expr = expr_from_polynomial(poly)

@@ -100,6 +100,15 @@ class TestValidate:
             d.validate_mod([P("x^2 + 1")], 1 << 16, samples)
 
 
+    def test_validate_mod_rejects_cyclic_blocks(self):
+        d = Decomposition()
+        d.blocks["a"] = make_add(BlockRef("b"), "x")
+        d.blocks["b"] = make_add(BlockRef("a"), "x")
+        d.outputs = [BlockRef("a")]
+        with pytest.raises(ValueError, match="cyclic"):
+            d.validate_mod([P("x")], 1 << 16, [{"x": 1}])
+
+
 class TestSummary:
     def test_mentions_blocks_and_cost(self):
         text = motivating_decomposition().summary()
